@@ -1,26 +1,25 @@
-"""Sharded-evaluation benches: winner parity and worker scaling.
+"""Static-shard bench: three shard slices, then a warm reduce.
 
-Two properties of the shard protocol are measured (DESIGN.md §13):
+S1 measures the sharded compile the CLI ships (DESIGN.md §13):
+``compile --shard I/3`` three times against one shared cache directory,
+then ``shard-reduce`` — one unsharded pruned search over the warm cache.
+On every corpus component whose candidate space the exhaustive search
+can still afford (<= 20k points) the reduce must recover the
+*bit-identical* winner of the serial `PrunedOptimizer` — same makespan,
+same solution key — with zero fresh evaluations.  Both are hard
+assertions on every component.
 
-- S1: on every corpus component whose candidate space the exhaustive
-  search can still afford (<= 20k points), the shard-workers-then-reduce
-  pipeline must recover the *bit-identical* winner of the serial
-  `PrunedOptimizer` — same makespan, same solution key — cold, and again
-  on a warm re-reduce.  This is a hard assertion on every component.
-- S2: on the deep CNN/LARGE component (the space the exhaustive guard
-  refuses), three concurrent worker processes sharing one cache
-  directory must push candidates/second >= 1.8x over a single worker.
-  The scaling bar only applies when the host actually has >= 3 CPUs
-  (single-CPU CI containers cannot scale by construction — there the
-  bench still hard-asserts winner parity and documents the skip).
+Every arm runs the per-candidate walk (``vectorize=False``).  That walk
+adopts each cache hit before it screens the next candidate, so the
+reduce prunes every candidate some shard pruned against a true feasible
+rank; zero fresh evaluations is then guaranteed, not just observed.
 
-Both benches merge their measurements into the top-level
-``BENCH_shard.json`` so CI archives per-shard wall clock, claim
-contention, reduce time and the parity verdicts.
+The bench merges its measurements into the top-level
+``BENCH_shard.json`` so CI archives per-shard wall clock, the
+scored/pruned split, reduce time and the parity verdicts.
 """
 
 import json
-import multiprocessing
 import time
 from pathlib import Path
 
@@ -29,8 +28,12 @@ import pytest
 from repro.loopir import LoopTree
 from repro.loopir.component import component_at
 from repro.loopir.validity import is_chain_extendable
-from repro.opt import PersistentCache, PrunedOptimizer, search_space_size
-from repro.opt.shard import ShardCoordinator, ShardReducer, ShardWorker
+from repro.opt import (
+    PersistentCache,
+    PrunedOptimizer,
+    StaticShardExchange,
+    search_space_size,
+)
 from repro.reporting import ExperimentReport
 from repro.sim.profiler import fit_component_model
 from repro.timing import Platform
@@ -41,22 +44,14 @@ BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_shard.json"
 #: Parity sweep cap: same affordability bar as the pruning benches.
 EXHAUSTIVE_MAX_POINTS = 20_000
 
-#: Concurrent worker counts measured by S2 (1 is the baseline).
-WORKER_COUNTS = (1, 3)
-
-#: Chunk size for the S2 space (139k candidates -> ~546 claims).
-SCALING_CHUNK_SIZE = 256
+#: Static shards per component, as in the CI ``shard-parity`` job.
+SHARDS = 3
 
 KERNEL_PRESETS = (
     ("cnn", "SMALL"), ("lstm", "SMALL"), ("maxpool", "SMALL"),
     ("sumpool", "SMALL"), ("rnn", "SMALL"),
     ("lstm", "LARGE"), ("rnn", "LARGE"),
 )
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-needs_fork = pytest.mark.skipif(
-    not HAS_FORK, reason="worker processes require the fork start method")
 
 
 def _leaf_chains(tree):
@@ -114,191 +109,72 @@ def parity_components(bank):
     return out
 
 
+def _shard(comp, platform, model, directory, index):
+    """One ``compile --shard`` worker on one component."""
+    optimizer = PrunedOptimizer(
+        comp, platform, model, cache=PersistentCache(directory),
+        vectorize=False, shard_of=(index, SHARDS))
+    exchange = StaticShardExchange(
+        directory, optimizer.evaluator.context_hash, (index, SHARDS))
+    optimizer.incumbent = exchange.seed()
+    started = time.perf_counter()
+    result = optimizer.optimize(8)
+    wall_s = time.perf_counter() - started
+    exchange.publish(comp, result)
+    return result, wall_s
+
+
 @pytest.mark.benchmark(group="shard")
 def test_s1_reduce_parity(parity_components, benchmark, tmp_path):
     platform = Platform()
     report = ExperimentReport(
         "shard_reduce_parity",
-        "Two shard workers + reduce vs serial pruned search",
-        ["component", "candidates", "chunks", "scored", "pruned",
-         "contention", "reduce (s)", "makespan (ns)"])
+        f"{SHARDS} static shards + warm reduce vs serial pruned search",
+        ["component", "space", "evaluations", "pruned",
+         "reduce evals", "reduce (s)", "makespan (ns)"])
 
     def run():
         rows = []
-        for position, (label, comp, model, _size) in enumerate(
+        for position, (label, comp, model, size) in enumerate(
                 parity_components):
-            serial = PrunedOptimizer(comp, platform, model).optimize(8)
+            serial = PrunedOptimizer(
+                comp, platform, model, vectorize=False).optimize(8)
             directory = tmp_path / f"space{position}"
-            outs = []
-            for worker_id in ("w1", "w2"):
-                coord = ShardCoordinator(
-                    comp, platform, model, PersistentCache(directory),
-                    cores=8, chunk_size=16)
-                outs.append(ShardWorker(
-                    coord, worker_id=worker_id).run())
-            coord = ShardCoordinator(
-                comp, platform, model, PersistentCache(directory),
-                cores=8, chunk_size=16)
-            cold = ShardReducer(coord).reduce()
-            # Warm re-reduce: a brand-new coordinator over the same
-            # directory, no worker in between.
-            warm = ShardReducer(ShardCoordinator(
-                comp, platform, model, PersistentCache(directory),
-                cores=8, chunk_size=16)).reduce()
-            rows.append((label, serial, coord, outs, cold, warm))
+            shards = [_shard(comp, platform, model, directory, index)
+                      for index in range(SHARDS)]
+            started = time.perf_counter()
+            reduced = PrunedOptimizer(
+                comp, platform, model, cache=PersistentCache(directory),
+                vectorize=False).optimize(8)
+            reduce_s = time.perf_counter() - started
+            rows.append((label, size, serial, shards, reduced, reduce_s))
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     records = {}
-    for label, serial, coord, outs, cold, warm in rows:
-        # Winner identity, bit for bit, cold and warm.
-        assert serial.feasible == cold.feasible, label
-        assert _winner(serial) == \
-            (None if cold.best is None or not cold.best.feasible
-             else (cold.best.makespan_ns, cold.best.solution.key())), label
-        assert cold.rank == warm.rank, label
-        if cold.best is not None:
-            assert warm.best.makespan_ns == cold.best.makespan_ns, label
-            assert warm.best.solution.key() == \
-                cold.best.solution.key(), label
-        scored = sum(out.scored for out in outs)
-        pruned = sum(out.pruned for out in outs)
-        contention = sum(out.contention for out in outs)
+    for label, size, serial, shards, reduced, reduce_s in rows:
+        # Winner identity, bit for bit, from cache entries alone.
+        assert _winner(reduced) == _winner(serial), label
+        assert reduced.evaluations == 0, label
+        evaluations = sum(result.evaluations for result, _ in shards)
+        pruned = sum(result.pruned for result, _ in shards)
         report.add_row(
-            label, len(coord.candidates), len(coord.chunks), scored,
-            pruned, contention, round(cold.elapsed_s, 4),
-            round(cold.best.makespan_ns) if cold.feasible else "inf")
+            label, size, evaluations, pruned, reduced.evaluations,
+            round(reduce_s, 4),
+            round(reduced.makespan_ns) if reduced.feasible else "inf")
         records[label] = {
-            "candidates": len(coord.candidates),
-            "chunks": len(coord.chunks),
-            "scored": scored,
-            "pruned": pruned,
-            "claim_contention": contention,
-            "worker_wall_s": [round(out.elapsed_s, 4) for out in outs],
-            "reduce_s": round(cold.elapsed_s, 4),
-            "makespan_ns": cold.best.makespan_ns if cold.feasible
+            "space": size,
+            "shards": SHARDS,
+            "shard_evaluations": [r.evaluations for r, _ in shards],
+            "shard_pruned": [r.pruned for r, _ in shards],
+            "shard_wall_s": [round(wall_s, 4) for _, wall_s in shards],
+            "serial_evaluations": serial.evaluations,
+            "reduce_evaluations": reduced.evaluations,
+            "reduce_cache_hits": reduced.cache_hits,
+            "reduce_s": round(reduce_s, 4),
+            "makespan_ns": reduced.makespan_ns if reduced.feasible
             else None,
             "winner_parity": True,      # the asserts above are hard
         }
     report.emit()
     _merge_bench_json("parity", records)
-
-
-def _scaling_worker(cache_dir, worker_id, ready, release, results):
-    comp, model = _scaling_component()
-    coord = ShardCoordinator(
-        comp, Platform(), model, PersistentCache(cache_dir),
-        cores=8, chunk_size=SCALING_CHUNK_SIZE)
-    ready.release()
-    release.wait()
-    out = ShardWorker(coord, worker_id=worker_id).run()
-    results.put({
-        "worker": out.worker,
-        "wall_s": round(out.elapsed_s, 4),
-        "chunks_done": out.chunks_done,
-        "candidates": out.candidates,
-        "scored": out.scored,
-        "pruned": out.pruned,
-        "claim_contention": out.contention,
-    })
-
-
-def _scaling_component():
-    from repro.kernels import make_kernel
-
-    tree = LoopTree.build(make_kernel("cnn", "LARGE"))
-    comp = component_at(tree, ["n", "k", "p", "q", "c"])
-    return comp, fit_component_model(comp)
-
-
-@needs_fork
-@pytest.mark.benchmark(group="shard")
-def test_s2_worker_scaling(benchmark, tmp_path):
-    comp, model = _scaling_component()
-    platform = Platform()
-    size = search_space_size(comp, platform.cores)
-    assert size > EXHAUSTIVE_MAX_POINTS    # the guard-refused space
-    serial = PrunedOptimizer(comp, platform, model).optimize(8)
-
-    report = ExperimentReport(
-        "shard_worker_scaling",
-        "cnn/LARGE candidates/second vs concurrent worker processes",
-        ["workers", "wall (s)", "candidates/s", "speedup",
-         "contention", "makespan (ns)"])
-
-    def run():
-        outcomes = {}
-        for workers in WORKER_COUNTS:
-            directory = tmp_path / f"workers{workers}"
-            ready = multiprocessing.Semaphore(0)
-            release = multiprocessing.Event()
-            results = multiprocessing.Queue()
-            procs = [
-                multiprocessing.Process(
-                    target=_scaling_worker,
-                    args=(str(directory), f"w{index}", ready, release,
-                          results))
-                for index in range(workers)
-            ]
-            for proc in procs:
-                proc.start()
-            for _ in procs:            # every coordinator is built
-                ready.acquire()
-            started = time.perf_counter()
-            release.set()              # all workers start claiming now
-            stats = [results.get(timeout=600) for _ in procs]
-            for proc in procs:
-                proc.join(timeout=600)
-            wall = time.perf_counter() - started
-            assert all(proc.exitcode == 0 for proc in procs)
-
-            coord = ShardCoordinator(
-                comp, platform, model, PersistentCache(directory),
-                cores=8, chunk_size=SCALING_CHUNK_SIZE)
-            merged = ShardReducer(coord).reduce()
-            outcomes[workers] = (wall, stats, merged,
-                                 len(coord.candidates))
-        return outcomes
-
-    outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
-    base_wall, _, _, candidates = outcomes[WORKER_COUNTS[0]]
-    records = {"space": size, "runs": {}}
-    for workers in WORKER_COUNTS:
-        wall, stats, merged, _ = outcomes[workers]
-        # Winner parity with the single-host pruned search is the hard
-        # bar at every worker count.
-        assert _winner(merged) == _winner(serial), \
-            f"{workers} workers diverged from the serial winner"
-        rate = candidates / wall
-        speedup = base_wall / wall
-        contention = sum(s["claim_contention"] for s in stats)
-        report.add_row(workers, round(wall, 3), round(rate),
-                       round(speedup, 2), contention,
-                       round(merged.best.makespan_ns))
-        records["runs"][str(workers)] = {
-            "wall_s": round(wall, 4),
-            "candidates_per_s": round(rate, 1),
-            "speedup": round(speedup, 3),
-            "claim_contention": contention,
-            "reduce_s": round(merged.elapsed_s, 4),
-            "per_worker": stats,
-            "winner_parity": True,
-        }
-
-    cpus = multiprocessing.cpu_count()
-    most = WORKER_COUNTS[-1]
-    scaled = outcomes[WORKER_COUNTS[0]][0] / outcomes[most][0]
-    records["cpus"] = cpus
-    if cpus >= most:
-        assert scaled >= 1.8, \
-            f"{most} workers only {scaled:.2f}x over 1 on {cpus} CPUs"
-        records["scaling_asserted"] = True
-    else:
-        # A host without the CPUs cannot scale by construction; the
-        # parity asserts above still ran on every worker count.
-        report.add_note(
-            f"{cpus}-CPU host: >= 1.8x scaling not asserted "
-            f"(winner parity asserted instead)")
-        records["scaling_asserted"] = False
-    report.emit()
-    _merge_bench_json("scaling", records)

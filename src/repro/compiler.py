@@ -29,6 +29,7 @@ from .loopir.component import TilableComponent
 from .loopir.fission import FissionResult, fission_kernel
 from .loopir.looptree import LoopTree
 from .opt.cache import PersistentCache
+from .opt.component import ComponentOptimizer
 from .opt.exhaustive import ExhaustiveOptimizer
 from .opt.greedy import GreedyOptimizer
 from .opt.ideal import ideal_makespan_ns
@@ -47,6 +48,74 @@ from .timing.platform import DEFAULT_PLATFORM, Platform
 #: Degradation order of :meth:`PremCompiler.compile_robust` — the best
 #: optimizer first, the unconditionally feasible strategy last.
 FALLBACK_CHAIN: Tuple[str, ...] = ("exhaustive", "greedy", "sequential")
+
+
+def _heuristic(compiler, component, exec_model, run):
+    return ComponentOptimizer(
+        component, compiler.platform, exec_model,
+        max_iter=compiler.max_iter, seed=compiler.seed,
+        segment_cap=compiler.segment_cap, deadline=run["deadline"],
+        budget_s=run["budget_s"], jobs=run["jobs"], cache=run["cache"])
+
+
+def _greedy(compiler, component, exec_model, run):
+    return GreedyOptimizer(
+        component, compiler.platform, exec_model,
+        segment_cap=compiler.segment_cap, deadline=run["deadline"],
+        budget_s=run["budget_s"], cache=run["cache"])
+
+
+def _exhaustive(compiler, component, exec_model, run):
+    return ExhaustiveOptimizer(
+        component, compiler.platform, exec_model,
+        segment_cap=compiler.segment_cap,
+        max_points=compiler.exhaustive_max_points, deadline=run["deadline"],
+        budget_s=run["budget_s"], jobs=run["jobs"], cache=run["cache"])
+
+
+def _pruned(compiler, component, exec_model, run):
+    return PrunedOptimizer(
+        component, compiler.platform, exec_model,
+        segment_cap=compiler.segment_cap,
+        max_points=compiler.pruned_max_points, deadline=run["deadline"],
+        budget_s=run["budget_s"], jobs=run["jobs"], cache=run["cache"],
+        shard_of=run["shards"])
+
+
+def _pareto(compiler, component, exec_model, run):
+    return ParetoOptimizer(
+        component, compiler.platform, exec_model,
+        segment_cap=compiler.segment_cap,
+        max_points=compiler.pruned_max_points, deadline=run["deadline"],
+        budget_s=run["budget_s"], jobs=run["jobs"], cache=run["cache"],
+        shard_of=run["shards"])
+
+
+def _robust(compiler, component, exec_model, run):
+    return RobustOptimizer(
+        component, compiler.platform, exec_model,
+        segment_cap=compiler.segment_cap, scenarios=run["scenarios"],
+        seed=compiler.seed, spread=run["spread"], risk=run["risk"],
+        alpha=run["alpha"], max_points=compiler.pruned_max_points,
+        deadline=run["deadline"], budget_s=run["budget_s"],
+        jobs=run["jobs"], cache=run["cache"], shard_of=run["shards"])
+
+
+#: Strategy -> (component-optimizer factory, shard exchange).  The
+#: exchange is None for strategies without an enumerated candidate space
+#: (they cannot shard), "winner" for the pruned search (seeded with the
+#: best rank a sibling shard published, and publishing its own), and
+#: "progress" where a shard winner is not comparable across shards: a
+#: dominance archive has no scalar incumbent, and risk winners are not
+#: ranked by the makespan log.
+STRATEGIES = {
+    "heuristic": (_heuristic, None),
+    "greedy": (_greedy, None),
+    "exhaustive": (_exhaustive, None),
+    "pruned": (_pruned, "winner"),
+    "pareto": (_pareto, "progress"),
+    "robust": (_robust, "progress"),
+}
 
 
 @dataclass
@@ -273,69 +342,28 @@ class PremCompiler:
         incompatible with an explicitly supplied *tree* (the pre-pass
         changes the kernel the tree must be built from).
         """
-        jobs = self.jobs if jobs is None else jobs
-        cache = self.cache if cache is None else cache
-        if shards is not None and strategy not in (
-                "pruned", "robust", "pareto"):
+        if shards is not None and (strategy not in STRATEGIES
+                                   or STRATEGIES[strategy][1] is None):
             raise ValueError(
                 f"strategy {strategy!r} does not support sharding; "
                 f"--shard needs an enumerated candidate space "
                 f"(pruned, robust, or pareto)")
-        if fission not in ("off", "auto"):
-            raise ValueError(
-                f"unknown fission mode {fission!r}; use 'off' or 'auto'")
-        fission_result: Optional[FissionResult] = None
-        if fission == "auto":
-            if tree is not None:
-                raise ValueError(
-                    "fission='auto' transforms the kernel and rebuilds "
-                    "the loop tree; an explicit tree cannot be combined "
-                    "with it")
-            fission_result = fission_kernel(kernel)
-            kernel = fission_result.kernel
-        tree = tree or LoopTree.build(kernel)
+        kernel, tree, fission_result = self._front_end(kernel, tree, fission)
         if strategy == "sequential":
             return self._compile_sequential(kernel, tree, fission_result)
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}")
         optimizer = optimizer or TreeOptimizer(
             tree, machine=self.machine, max_iter=self.max_iter,
             seed=self.seed, segment_cap=self.segment_cap)
-
-        if strategy == "heuristic":
-            result = optimizer.optimize(
-                self.platform, cores=cores,
-                optimize_fn=self._heuristic_fn(
-                    cores, deadline, budget_s, jobs, cache))
-        elif strategy == "greedy":
-            result = optimizer.optimize(
-                self.platform, cores=cores,
-                optimize_fn=self._greedy_fn(
-                    cores, deadline, budget_s, cache))
-        elif strategy == "exhaustive":
-            result = optimizer.optimize(
-                self.platform, cores=cores,
-                optimize_fn=self._exhaustive_fn(
-                    cores, deadline, budget_s, jobs, cache))
-        elif strategy == "pruned":
-            result = optimizer.optimize(
-                self.platform, cores=cores,
-                optimize_fn=self._pruned_fn(
-                    cores, deadline, budget_s, jobs, cache,
-                    shards=shards))
-        elif strategy == "pareto":
-            result = optimizer.optimize(
-                self.platform, cores=cores,
-                optimize_fn=self._pareto_fn(
-                    cores, deadline, budget_s, jobs, cache,
-                    shards=shards))
-        elif strategy == "robust":
-            result = optimizer.optimize(
-                self.platform, cores=cores,
-                optimize_fn=self._robust_fn(
-                    cores, deadline, budget_s, jobs, cache,
-                    scenarios=scenarios, risk=risk, alpha=alpha,
-                    spread=spread, shards=shards))
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+        run = dict(deadline=deadline, budget_s=budget_s,
+                   jobs=self.jobs if jobs is None else jobs,
+                   cache=self.cache if cache is None else cache,
+                   scenarios=scenarios, risk=risk, alpha=alpha,
+                   spread=spread, shards=shards)
+        result = optimizer.optimize(
+            self.platform, cores=cores,
+            optimize_fn=self._optimize_fn(strategy, cores, run))
 
         components = []
         for choice in result.choices:
@@ -384,19 +412,7 @@ class PremCompiler:
         pre-pass runs once up front and every stage compiles the
         distributed kernel.
         """
-        fission_result: Optional[FissionResult] = None
-        if fission == "auto":
-            if tree is not None:
-                raise ValueError(
-                    "fission='auto' transforms the kernel and rebuilds "
-                    "the loop tree; an explicit tree cannot be combined "
-                    "with it")
-            fission_result = fission_kernel(kernel)
-            kernel = fission_result.kernel
-        elif fission != "off":
-            raise ValueError(
-                f"unknown fission mode {fission!r}; use 'off' or 'auto'")
-        tree = tree or LoopTree.build(kernel)
+        kernel, tree, fission_result = self._front_end(kernel, tree, fission)
         attempts: List[StageAttempt] = []
         for strategy in strategies:
             started = time.perf_counter()
@@ -461,138 +477,51 @@ class PremCompiler:
             fission=fission_result,
         )
 
-    def _heuristic_fn(self, cores: Optional[int],
-                      deadline: Optional[float], budget_s: float,
-                      jobs: int = 1,
-                      cache: Optional[PersistentCache] = None):
-        from .opt.component import ComponentOptimizer
+    def _front_end(self, kernel: Kernel, tree: Optional[LoopTree],
+                   fission: str
+                   ) -> Tuple[Kernel, LoopTree, Optional[FissionResult]]:
+        """The optional fission pre-pass, then the loop tree."""
+        if fission not in ("off", "auto"):
+            raise ValueError(
+                f"unknown fission mode {fission!r}; use 'off' or 'auto'")
+        fission_result: Optional[FissionResult] = None
+        if fission == "auto":
+            if tree is not None:
+                raise ValueError(
+                    "fission='auto' transforms the kernel and rebuilds "
+                    "the loop tree; an explicit tree cannot be combined "
+                    "with it")
+            fission_result = fission_kernel(kernel)
+            kernel = fission_result.kernel
+        return kernel, tree or LoopTree.build(kernel), fission_result
+
+    def _optimize_fn(self, strategy: str, cores: Optional[int],
+                     run: Dict[str, object]):
+        """Per-component callback for :meth:`TreeOptimizer.optimize`.
+
+        With a shard restriction and a shared cache, the component's
+        search also talks to its sibling shards through the cache
+        directory's coordination log; a shard run without a cache is a
+        plain restricted search with nobody to talk to."""
+        factory, exchange_kind = STRATEGIES[strategy]
+        cache, shards = run["cache"], run["shards"]
 
         def optimize_fn(component, exec_model):
-            optimizer = ComponentOptimizer(
-                component, self.platform, exec_model,
-                max_iter=self.max_iter, seed=self.seed,
-                segment_cap=self.segment_cap,
-                deadline=deadline, budget_s=budget_s,
-                jobs=jobs, cache=cache)
-            return optimizer.optimize(cores)
-
-        return optimize_fn
-
-    def _greedy_fn(self, cores: Optional[int],
-                   deadline: Optional[float] = None,
-                   budget_s: float = 0.0,
-                   cache: Optional[PersistentCache] = None):
-        platform = self.platform
-        segment_cap = self.segment_cap
-
-        def optimize_fn(component, exec_model):
-            greedy = GreedyOptimizer(
-                component, platform, exec_model, segment_cap=segment_cap,
-                deadline=deadline, budget_s=budget_s, cache=cache)
-            return greedy.optimize(cores)
-
-        return optimize_fn
-
-    def _exhaustive_fn(self, cores: Optional[int],
-                       deadline: Optional[float], budget_s: float,
-                       jobs: int = 1,
-                       cache: Optional[PersistentCache] = None):
-        def optimize_fn(component, exec_model):
-            exhaustive = ExhaustiveOptimizer(
-                component, self.platform, exec_model,
-                segment_cap=self.segment_cap,
-                max_points=self.exhaustive_max_points,
-                deadline=deadline, budget_s=budget_s,
-                jobs=jobs, cache=cache)
-            return exhaustive.optimize(cores)
-
-        return optimize_fn
-
-    def _pruned_fn(self, cores: Optional[int],
-                   deadline: Optional[float], budget_s: float,
-                   jobs: int = 1,
-                   cache: Optional[PersistentCache] = None,
-                   shards: Optional[Tuple[int, int]] = None):
-        def optimize_fn(component, exec_model):
-            pruned = PrunedOptimizer(
-                component, self.platform, exec_model,
-                segment_cap=self.segment_cap,
-                max_points=self.pruned_max_points,
-                deadline=deadline, budget_s=budget_s,
-                jobs=jobs, cache=cache, shard_of=shards)
-            exchange = self._shard_exchange(
-                pruned.evaluator.context_hash, shards, cache)
+            search = factory(self, component, exec_model, run)
+            exchange = None
+            if shards is not None and cache is not None and \
+                    search.evaluator.context_hash is not None:
+                from .opt.shard import StaticShardExchange
+                exchange = StaticShardExchange(
+                    cache.directory, search.evaluator.context_hash, shards)
+            if exchange is not None and exchange_kind == "winner":
+                # Seed with the best rank any sibling shard already
+                # published; can only increase pruning.
+                search.incumbent = exchange.seed()
+            result = search.optimize(cores)
             if exchange is not None:
-                # Seed this shard with the best rank any sibling shard
-                # has already published; can only increase pruning.
-                pruned.incumbent = exchange.seed()
-            result = pruned.optimize(cores)
-            if exchange is not None:
-                exchange.publish(component, result)
+                exchange.publish(component, result,
+                                 winner=exchange_kind == "winner")
             return result
 
         return optimize_fn
-
-    def _pareto_fn(self, cores: Optional[int],
-                   deadline: Optional[float], budget_s: float,
-                   jobs: int = 1,
-                   cache: Optional[PersistentCache] = None,
-                   shards: Optional[Tuple[int, int]] = None):
-        def optimize_fn(component, exec_model):
-            pareto = ParetoOptimizer(
-                component, self.platform, exec_model,
-                segment_cap=self.segment_cap,
-                max_points=self.pruned_max_points,
-                deadline=deadline, budget_s=budget_s,
-                jobs=jobs, cache=cache, shard_of=shards)
-            result = pareto.optimize(cores)
-            # A dominance archive cannot adopt a scalar incumbent, so
-            # pareto shards publish progress records only.
-            exchange = self._shard_exchange(
-                pareto.evaluator.context_hash, shards, cache)
-            if exchange is not None:
-                exchange.publish(component, result, winner=False)
-            return result
-
-        return optimize_fn
-
-    def _robust_fn(self, cores: Optional[int],
-                   deadline: Optional[float], budget_s: float,
-                   jobs: int = 1,
-                   cache: Optional[PersistentCache] = None,
-                   scenarios: int = 32, risk: str = "cvar",
-                   alpha: float = 0.9, spread: float = 0.2,
-                   shards: Optional[Tuple[int, int]] = None):
-        def optimize_fn(component, exec_model):
-            robust = RobustOptimizer(
-                component, self.platform, exec_model,
-                segment_cap=self.segment_cap,
-                scenarios=scenarios, seed=self.seed, spread=spread,
-                risk=risk, alpha=alpha,
-                max_points=self.pruned_max_points,
-                deadline=deadline, budget_s=budget_s,
-                jobs=jobs, cache=cache, shard_of=shards)
-            result = robust.optimize(cores)
-            # Risk winners are not nominal-rank comparable across
-            # shards through the makespan log; publish progress only.
-            exchange = self._shard_exchange(
-                robust._nominal_search.evaluator.context_hash,
-                shards, cache)
-            if exchange is not None:
-                exchange.publish(component, result, winner=False)
-            return result
-
-        return optimize_fn
-
-    def _shard_exchange(self, context_hash: Optional[str],
-                        shards: Optional[Tuple[int, int]],
-                        cache: Optional[PersistentCache]):
-        """Incumbent/progress exchange for one static shard worker.
-
-        Active only when both a shard restriction and a shared cache
-        directory exist — a shard run without a cache is a plain
-        restricted search with nobody to talk to."""
-        if shards is None or cache is None or context_hash is None:
-            return None
-        from .opt.shard import StaticShardExchange
-        return StaticShardExchange(cache.directory, context_hash, shards)

@@ -36,11 +36,7 @@ from .robust import (
     risk_value,
 )
 from .shard import (
-    ShardCoordinator,
-    ShardIncompleteError,
     ShardLog,
-    ShardReducer,
-    ShardWorker,
     SpaceStatus,
     StaticShardExchange,
     space_statuses,
@@ -70,8 +66,7 @@ __all__ = [
     "ScalarizedPoint", "compose_fronts", "dominates_vector",
     "kernel_front", "pareto_front", "scalarize",
     "DEFAULT_PRUNED_MAX_POINTS", "PrunedOptimizer", "validate_shard",
-    "ShardCoordinator", "ShardIncompleteError", "ShardLog",
-    "ShardReducer", "ShardWorker", "SpaceStatus", "StaticShardExchange",
+    "ShardLog", "SpaceStatus", "StaticShardExchange",
     "space_statuses", "static_space_id",
     "RISK_OBJECTIVES", "CandidateRisk", "RobustComponentResult",
     "RobustOptimizer", "SensitivityEntry", "cvar_tail_count", "risk_value",

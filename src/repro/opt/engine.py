@@ -58,17 +58,14 @@ _WORKER: Dict[str, object] = {}
 
 
 def _init_worker(component, platform, exec_model, segment_cap, modes,
-                 deadline, stage, budget_s, incumbent=None,
-                 vectorize=False) -> None:
+                 deadline, stage, budget_s, vectorize=False) -> None:
     """Pool initializer: build this process's evaluator once.
 
     Under the fork start method the arguments are inherited by memory
     copy, so the component's compute closures never need pickling.
     ``perf_counter`` is CLOCK_MONOTONIC on Linux and therefore
     comparable across the fork, which keeps the parent's deadline
-    meaningful inside workers.  *incumbent* is a shared double holding
-    the parent's best makespan so far (inf when none), read by the
-    bounded-evaluation path.  With *vectorize* the worker scores its
+    meaningful inside workers.  With *vectorize* the worker scores its
     chunks through a :class:`BatchEvaluator` (bit-identical outcomes,
     one tensor program per sub-batch instead of one plan per
     candidate)."""
@@ -77,7 +74,6 @@ def _init_worker(component, platform, exec_model, segment_cap, modes,
     if deadline is not None:
         evaluator.set_deadline(deadline, stage, budget_s)
     _WORKER["evaluator"] = evaluator
-    _WORKER["incumbent"] = incumbent
     _WORKER["batch"] = BatchEvaluator(evaluator) if vectorize else None
 
 
@@ -141,49 +137,6 @@ def _eval_chunk(requests: Sequence[Request]) -> Dict:
         "timeout": timeout,
         "batched": batched,
         "batch_fallbacks": fallbacks,
-    }
-
-
-def _eval_bounded_chunk(payload: Dict) -> Dict:
-    """Evaluate one chunk of bounded candidates, re-checking bounds.
-
-    The payload carries per-candidate admissible lower bounds and the
-    incumbent rank ``(makespan, flat key)`` current at submission time.
-    Several chunks are in flight at once, so by the time a worker picks
-    one up the parent may already hold a better incumbent than the one
-    these candidates were screened against; the shared-memory incumbent
-    (updated by the parent on every improvement) lets the re-check skip
-    planning for candidates another in-flight chunk has since beaten.
-    Both checks are sound — an admissible bound at or above a feasible
-    makespan rank can never belong to the winner — so only the *counts*
-    depend on worker timing, never the result.  Skipped candidates
-    return a ``None`` outcome slot; the parent counts them as pruned."""
-    evaluator = _WORKER["evaluator"]
-    shared = _WORKER.get("incumbent")
-    incumbent = payload["incumbent"]
-    started = time.perf_counter()
-    outcomes: List[Optional[Tuple[float, bool, str, int, int]]] = []
-    timeout: Optional[Tuple[str, float]] = None
-    for tile_sizes, thread_groups, bound_ns, flat in payload["requests"]:
-        if incumbent is not None and (bound_ns, flat) >= tuple(incumbent):
-            outcomes.append(None)
-            continue
-        if shared is not None and bound_ns > shared.value:
-            outcomes.append(None)
-            continue
-        try:
-            result = evaluator.evaluate_params(tile_sizes, thread_groups)
-        except OptimizerTimeout as error:
-            timeout = (error.stage, error.budget_s)
-            break
-        outcomes.append((
-            result.makespan_ns, result.feasible, result.reason,
-            result.spm_bytes_needed, result.transferred_bytes,
-        ))
-    return {
-        "outcomes": outcomes,
-        "busy_s": time.perf_counter() - started,
-        "timeout": timeout,
     }
 
 
@@ -317,7 +270,6 @@ class EvaluationEngine:
         self._batched = 0
         self._batch_fallbacks = 0
         self._batch: Optional[BatchEvaluator] = None   # serial vector path
-        self._incumbent_cell = None   # shared double for bounded dispatch
 
     # -- lifecycle --------------------------------------------------------
 
@@ -329,7 +281,6 @@ class EvaluationEngine:
         if self._pool is None:
             context = multiprocessing.get_context("fork")
             evaluator = self.evaluator
-            self._incumbent_cell = context.Value("d", float("inf"))
             self._pool = context.Pool(
                 self.jobs,
                 initializer=_init_worker,
@@ -337,7 +288,7 @@ class EvaluationEngine:
                           evaluator.exec_model, evaluator.segment_cap,
                           evaluator.modes, evaluator.deadline,
                           evaluator.stage, evaluator.budget_s,
-                          self._incumbent_cell, self.vectorize),
+                          self.vectorize),
             )
         return self._pool
 
@@ -494,7 +445,7 @@ class EvaluationEngine:
         if timeout is not None:
             raise OptimizerTimeout(*timeout)
 
-    # -- bounded dispatch (branch-and-bound search) -----------------------
+    # -- walk accounting ---------------------------------------------------
 
     def note_pruned(self, count: int = 1) -> None:
         """Account candidates the caller discarded on an admissible bound."""
@@ -503,51 +454,6 @@ class EvaluationEngine:
     def note_bound_hit(self, count: int = 1) -> None:
         """Account pruned candidates the persistent cache already knew."""
         self._bound_hits += count
-
-    def publish_incumbent(self, makespan_ns: float) -> None:
-        """Expose the parent's best makespan to in-flight workers."""
-        if self._incumbent_cell is not None:
-            self._incumbent_cell.value = makespan_ns
-
-    def submit_bounded(self, requests, incumbent):
-        """Ship one chunk of bounded candidates to the pool (parallel
-        engines only) and return the async reply handle.
-
-        *requests* entries are ``(tile_sizes, thread_groups, bound_ns,
-        flat_key)``; *incumbent* is the current ``(makespan, flat_key)``
-        rank or None.  The caller harvests replies strictly in
-        submission order (:meth:`harvest_bounded`), which keeps the
-        winner deterministic regardless of worker scheduling."""
-        pool = self._ensure_pool()
-        self._dispatched += len(requests)
-        self._chunks += 1
-        payload = {"requests": list(requests), "incumbent": incumbent}
-        return pool.apply_async(_eval_bounded_chunk, (payload,))
-
-    def harvest_bounded(self, reply, solutions) -> List[
-            Optional[MakespanResult]]:
-        """Adopt one bounded chunk's outcomes, aligned with *solutions*.
-
-        Worker-pruned candidates come back as None (already counted via
-        :meth:`note_pruned` here); evaluated outcomes are recorded into
-        the parent evaluator exactly like plain dispatch.  A worker
-        timeout re-raises after the chunk's completed outcomes are
-        adopted, so no finished plan is wasted."""
-        data = reply.get()
-        self._busy_s += data["busy_s"]
-        results: List[Optional[MakespanResult]] = []
-        for solution, outcome in zip(solutions, data["outcomes"]):
-            if outcome is None:
-                self._pruned += 1
-                results.append(None)
-                continue
-            makespan_ns, feasible, reason, spm, transferred = outcome
-            results.append(self.evaluator.record_remote(
-                solution, makespan_ns, feasible, reason,
-                spm_bytes=spm, transferred_bytes=transferred))
-        if data["timeout"] is not None:
-            raise OptimizerTimeout(*data["timeout"])
-        return results
 
     # -- reduction --------------------------------------------------------
 

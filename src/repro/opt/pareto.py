@@ -32,11 +32,13 @@ is therefore a pure function of the candidate space — bit-identical
 regardless of *which* dominated candidates happen to be pruned, i.e.
 across ``jobs``, ``vectorize``, and cold/warm persistent-cache runs.
 
-Surviving candidates are scored in doubling windows through the
+The sweep is the pruned search's walk (:func:`repro.opt.walk.walk`)
+with :class:`DominanceArchive` as its acceptor: surviving candidates are
+scored in doubling windows through the
 :class:`~repro.opt.engine.EvaluationEngine` (worker pool, batch-exact
 vector scoring, or plain serial — all bit-identical), and memo/cache
-hits occupy window slots exactly like the pruned search so a warm run
-walks the identical archive trajectory as the cold one.
+hits occupy window slots so a warm run walks the identical archive
+trajectory as the cold one.
 
 The second method, **weighted scalarization**, minimizes a positive
 weighted sum of the front-range-normalised objectives over every scored
@@ -65,16 +67,15 @@ from .bounds import BoundCalculator
 from .cache import PersistentCache
 from .component import ComponentOptResult
 from .engine import EngineMetrics, EvaluationEngine
-from .exhaustive import SearchSpaceTooLarge, space_size_of
-from .pruned import (
-    _BATCH_WINDOW,
-    _FIRST_WINDOW,
-    DEFAULT_PRUNED_MAX_POINTS,
-    enumerate_candidates,
-    validate_shard,
-)
+from .pruned import DEFAULT_PRUNED_MAX_POINTS
 from .solution import Solution
-from .threadgroups import generate_nondominated_thread_groups
+from .walk import (
+    BATCH_WINDOWS,
+    Candidate,
+    CandidateSpace,
+    validate_shard,
+    walk,
+)
 
 #: Objective order of every vector in this module.
 OBJECTIVES: Tuple[str, ...] = (
@@ -352,170 +353,112 @@ class ParetoOptimizer:
             modes=self.evaluator.planner.modes,
             geometry=self.evaluator.geometry)
         self.metrics: Optional[EngineMetrics] = None
-        self._vars = [node.var for node in component.nodes]
-        self._assignments: List[Tuple[int, ...]] = []
-        self._pruned = 0
-        self._bound_hits = 0
-        self._dominance_pruned = 0
-
-    # -- search ------------------------------------------------------------
 
     def optimize(self, cores: Optional[int] = None) -> ParetoComponentResult:
         cores = cores if cores is not None else self.platform.cores
         started = time.perf_counter()
-        self._pruned = 0
-        self._bound_hits = 0
-        self._dominance_pruned = 0
-        self._assignments = generate_nondominated_thread_groups(
-            cores, self.component)
-        size = space_size_of(self.component, self._assignments)
-        if size > self.max_points:
-            raise SearchSpaceTooLarge(
-                f"{size} candidate points exceed the pareto-search budget "
-                f"of {self.max_points}; use the heuristic (Algorithm 1)")
-        candidates, groups_maps, enum_pruned = enumerate_candidates(
-            self.component, self._assignments, self.bounds,
-            self.evaluator.check_deadline, vectorize=self.vectorize)
-        self._pruned += enum_pruned
-        if self.shard_of is not None:
-            shard_index, shard_count = self.shard_of
-            candidates = candidates[shard_index::shard_count]
-
-        achieved: List[ParetoPoint] = []
+        space = CandidateSpace(
+            self.component, self.bounds, cores, self.max_points, "pareto",
+            self.evaluator.check_deadline, vectorize=self.vectorize,
+            shard_of=self.shard_of)
+        archive = DominanceArchive(self.prune)
         with EvaluationEngine(self.evaluator, jobs=self.jobs,
                               stage="pareto",
                               vectorize=self.vectorize) as engine:
-            engine.note_pruned(enum_pruned)   # enumeration-time drops
-            scored = self._sweep(engine, candidates, groups_maps, achieved)
-            front = pareto_front(achieved)
+            scored = walk(space, engine, archive, BATCH_WINDOWS)
+            front = pareto_front(archive.achieved)
             best: Optional[MakespanResult] = None
             if front:
                 top = min(front, key=lambda p: (p.makespan_ns, p.flat))
                 best = engine.finalize(top.result)
             self.metrics = engine.metrics()
         scalarized = tuple(
-            scalarize(front, achieved, weights)
+            scalarize(front, archive.achieved, weights)
             for weights in self.weights) if front else ()
         return ParetoComponentResult(
             component=self.component,
             best=best,
             evaluations=self.evaluator.evaluations,
             elapsed_s=time.perf_counter() - started,
-            assignments_tried=len(self._assignments),
+            assignments_tried=len(space.assignments),
             cache_hits=self.evaluator.cache_hits,
-            pruned=self._pruned,
-            bound_hits=self._bound_hits,
+            pruned=self.metrics.pruned,
+            bound_hits=self.metrics.bound_hits,
             batched=self.metrics.batched,
             batch_fallbacks=self.metrics.batch_fallbacks,
             exec_model=self.exec_model,
             front=front,
             scalarized=scalarized,
-            candidates=size,
+            candidates=space.size,
             scored=scored,
-            dominance_pruned=self._dominance_pruned,
+            dominance_pruned=archive.dominance_pruned,
         )
 
-    def _sweep(self, engine: EvaluationEngine, candidates,
-               groups_maps: List[Dict[str, int]],
-               achieved: List[ParetoPoint]) -> int:
-        """Windowed archive walk; returns the number of scored candidates.
 
-        The archive advances only at window boundaries and memo/cache
-        hits occupy window slots, so the screen-decision sequence — and
-        with it the scored/pruned split, not just the front — is a pure
-        function of the candidate list: identical across ``jobs``,
-        ``vectorize``, and cold/warm cache runs."""
-        evaluator = self.evaluator
-        archive: List[ObjectiveVector] = []
-        scored = 0
-        pos, total = 0, len(candidates)
-        limit = _FIRST_WINDOW
-        while pos < total:
-            evaluator.check_deadline()
-            #: (flat key, cached result or None, fresh solution or None)
-            window: List[tuple] = []
-            while pos < total and len(window) < limit:
-                bound, flat, sizes, ai = candidates[pos]
-                pos += 1
-                solution = self._solution(sizes, groups_maps[ai])
-                hit = evaluator.peek(solution)
-                if hit is not None:
-                    window.append((flat, hit, None))
-                    continue
-                vector = self._bound_vector(bound, sizes, ai, solution)
-                if vector is None:    # refined bound proves infeasibility
-                    self._prune_one(engine, solution.key(), math.inf)
-                    continue
-                if self.prune and any(
-                        dominates_vector(kept, vector)
-                        for kept in archive):
-                    self._dominance_pruned += 1
-                    self._prune_one(engine, solution.key(), vector[0])
-                    continue
-                window.append((flat, None, solution))
-            limit = min(limit * 2, _BATCH_WINDOW)
-            if not window:
-                continue
-            fresh = [(entry[2].tile_sizes, entry[2].thread_groups)
-                     for entry in window if entry[1] is None]
-            scored += len(window)     # hits included: cold ≡ warm
-            results = iter(engine.evaluate_many(fresh) if fresh else ())
-            for flat, hit, _solution in window:
-                result = hit if hit is not None else next(results)
-                if not result.feasible:
-                    continue
-                point = ParetoPoint(
-                    result=result, flat=flat,
-                    makespan_ns=result.makespan_ns,
-                    spm_bytes=result.spm_bytes_needed,
-                    dma_bytes=result.transferred_bytes,
-                    cores=result.solution.threads)
-                achieved.append(point)
-                self._archive_add(archive, point.objectives)
-        return scored
+class DominanceArchive:
+    """Walk acceptor keeping every achieved point and the non-dominated
+    archive of their objective vectors.
 
-    # -- helpers -----------------------------------------------------------
+    A miss is pruned when its refined bound proves it infeasible, or —
+    with *prune* — when an archived vector weakly dominates its bound
+    vector.  No tail cut: a front has no scalar rank to sort against."""
 
-    def _solution(self, sizes: Tuple[int, ...],
-                  groups: Dict[str, int]) -> Solution:
-        return Solution(
-            self.component, dict(zip(self._vars, sizes)), groups)
+    def __init__(self, prune: bool = True):
+        self.prune = prune
+        self.achieved: List[ParetoPoint] = []
+        self.archive: List[ObjectiveVector] = []
+        self.dominance_pruned = 0
 
-    def _bound_vector(self, quick: float, sizes: Tuple[int, ...], ai: int,
-                      solution: Solution) -> Optional[ObjectiveVector]:
-        """Admissible componentwise floor on the candidate's objectives.
+    def cuts_tail(self, bound: float, flat: Tuple[int, ...]) -> bool:
+        return False
 
-        Makespan is the refined (DMA-path + exact-SPM) bound; SPM is the
-        planner's exact requirement (falling back to the closed-form
-        floor when geometry cannot resolve); DMA bytes is the swap-event
-        byte floor; the core count is exact by construction.  ``None``
-        means the refined bound proved the candidate infeasible."""
-        assignment = self._assignments[ai]
-        refined = self.bounds.refine(quick, sizes, assignment)
-        if math.isinf(refined):
-            return None
-        sizes_map = solution.tile_sizes
-        spm = self.bounds.spm_bytes_exact(sizes_map)
-        if spm is None:
-            spm = self.bounds.spm_bytes_floor(sizes)
-        dma = self.bounds.dma_bytes_floor(sizes, assignment, sizes_map)
-        return (refined, spm, dma, solution.threads)
+    def screen(self, space: CandidateSpace, candidate: Candidate,
+               solution: Solution) -> Optional[float]:
+        vector = _bound_vector(space, candidate, solution)
+        if vector is None:
+            return math.inf
+        if self.prune and any(dominates_vector(kept, vector)
+                              for kept in self.archive):
+            self.dominance_pruned += 1
+            return vector[0]
+        return None
 
-    def _prune_one(self, engine: EvaluationEngine, key: tuple,
-                   bound: float) -> None:
-        self._pruned += 1
-        engine.note_pruned()
-        if self.evaluator.persist_bound(key, bound):
-            self._bound_hits += 1
-            engine.note_bound_hit()
-
-    @staticmethod
-    def _archive_add(archive: List[ObjectiveVector],
-                     vector: ObjectiveVector) -> None:
-        """Keep the archive the non-dominated subset of achieved vectors."""
-        for kept in archive:
+    def adopt(self, result: MakespanResult, flat: Tuple[int, ...]) -> None:
+        if not result.feasible:
+            return
+        point = ParetoPoint(
+            result=result, flat=flat,
+            makespan_ns=result.makespan_ns,
+            spm_bytes=result.spm_bytes_needed,
+            dma_bytes=result.transferred_bytes,
+            cores=result.solution.threads)
+        self.achieved.append(point)
+        vector = point.objectives
+        for kept in self.archive:
             if kept == vector or dominates_vector(kept, vector):
                 return
-        archive[:] = [kept for kept in archive
-                      if not dominates_vector(vector, kept)]
-        archive.append(vector)
+        self.archive[:] = [kept for kept in self.archive
+                           if not dominates_vector(vector, kept)]
+        self.archive.append(vector)
+
+
+def _bound_vector(space: CandidateSpace, candidate: Candidate,
+                  solution: Solution) -> Optional[ObjectiveVector]:
+    """Admissible componentwise floor on the candidate's objectives.
+
+    Makespan is the refined (DMA-path + exact-SPM) bound; SPM is the
+    planner's exact requirement (falling back to the closed-form floor
+    when geometry cannot resolve); DMA bytes is the swap-event byte
+    floor; the core count is exact by construction.  ``None`` means the
+    refined bound proved the candidate infeasible."""
+    refined = space.refine(candidate)
+    if math.isinf(refined):
+        return None
+    _bound, _flat, sizes, ai = candidate
+    bounds = space.bounds
+    sizes_map = solution.tile_sizes
+    spm = bounds.spm_bytes_exact(sizes_map)
+    if spm is None:
+        spm = bounds.spm_bytes_floor(sizes)
+    dma = bounds.dma_bytes_floor(sizes, space.assignments[ai], sizes_map)
+    return (refined, spm, dma, solution.threads)

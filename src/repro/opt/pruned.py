@@ -21,9 +21,12 @@ makespan) and the prune comparisons reuse the exhaustive search's
 ``(makespan, solution key)`` tie-break rank, the winner is bit-identical
 to the unpruned search — including the no-feasible-candidate case.  The
 evaluation *count* is exactly what pruning reduces, so it is not part of
-the parity contract; with ``jobs > 1`` the count may additionally vary
-with worker timing (workers re-check bounds against a live incumbent),
-while the winner still cannot change.
+the parity contract.  It is still deterministic: the walk
+(:func:`repro.opt.walk.walk`) advances the incumbent only at window
+boundaries, so the evaluated/pruned split depends on the window schedule
+alone — one candidate per window for the scalar serial walk, windows
+doubling from 16 to 256 for every vectorized or ``jobs > 1`` walk — and
+never on worker timing.
 
 Pruned candidates are recorded in the persistent cache as bound-only
 entries; re-encountering one on a warm run counts as a *bound hit*.
@@ -31,135 +34,29 @@ entries; re-encountering one on a warm run counts as a *bound hit*.
 
 from __future__ import annotations
 
-import math
 import time
-from collections import deque
-from itertools import product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from ..loopir.component import TilableComponent
-from ..schedule.makespan import (
-    DEFAULT_SEGMENT_CAP,
-    MakespanEvaluator,
-    MakespanResult,
-)
+from ..schedule.makespan import DEFAULT_SEGMENT_CAP, MakespanEvaluator
 from ..timing.execmodel import ExecModel
 from ..timing.platform import Platform
 from .bounds import BoundCalculator
 from .cache import PersistentCache
 from .component import ComponentOptResult
 from .engine import EngineMetrics, EvaluationEngine
-from .exhaustive import (
-    SearchSpaceTooLarge,
-    assignment_candidates,
-    space_size_of,
+from .walk import (
+    BATCH_WINDOWS,
+    SERIAL_WINDOWS,
+    CandidateSpace,
+    ScalarIncumbent,
+    validate_shard,
+    walk,
 )
-from .solution import Solution
-from .threadgroups import generate_nondominated_thread_groups
-from .vectorized import BatchEvaluator
 
 #: The pruned path affords a far larger space than the exhaustive
 #: guard's 20k: most candidates cost one closed-form bound, not a plan.
 DEFAULT_PRUNED_MAX_POINTS = 500_000
-
-#: Candidates per worker task; small keeps the shipped incumbent fresh.
-_CHUNK_SIZE = 8
-
-#: Deadline poll stride for the bound-only phases.
-_DEADLINE_STRIDE = 512
-
-#: Candidates per batch-exact window of the vectorized serial walk.  The
-#: incumbent advances only at window boundaries, so the window bounds how
-#: many candidates can be batch-scored that a per-candidate walk would
-#: have pruned against a fresher incumbent.
-_BATCH_WINDOW = 256
-
-#: Size of the *first* window; windows double up to ``_BATCH_WINDOW``.
-#: Candidates are sorted best-bound-first, so a small opening window
-#: usually lands a near-optimal incumbent immediately and lets the bound
-#: tier prune even spaces smaller than one full window.
-_FIRST_WINDOW = 16
-
-#: Candidate record: (quick bound, flat key, tile sizes, assignment idx).
-_Candidate = Tuple[float, Tuple[int, ...], Tuple[int, ...], int]
-
-
-def validate_shard(shard_of: Optional[Tuple[int, int]]
-                   ) -> Optional[Tuple[int, int]]:
-    """Normalize/validate a ``(index, count)`` shard restriction."""
-    if shard_of is None:
-        return None
-    try:
-        index, count = int(shard_of[0]), int(shard_of[1])
-    except (IndexError, TypeError, ValueError):
-        raise ValueError(
-            f"shard_of must be (index, count); got {shard_of!r}")
-    if count < 1 or not 0 <= index < count:
-        raise ValueError(
-            f"shard_of must be (index, count) with 0 <= index < count; "
-            f"got {shard_of!r}")
-    return index, count
-
-
-def enumerate_candidates(component: TilableComponent,
-                         assignments: Sequence[Tuple[int, ...]],
-                         bounds: BoundCalculator,
-                         check: Callable[[], None],
-                         vectorize: bool = True
-                         ) -> Tuple[List[_Candidate],
-                                    List[Dict[str, int]], int]:
-    """Quick-bound every candidate point; sort survivors best-bound-first.
-
-    Returns ``(candidates, groups_maps, pruned)`` where *pruned* counts
-    the provably infeasible points (quick bound of +inf) that never
-    entered the list.  The vectorized path screens each assignment's
-    whole tile-size grid through :meth:`BoundCalculator.
-    quick_bound_array` — bitwise the same bounds, so the same candidate
-    list and the same pruned count as the scalar loop.  Shared by the
-    nominal and the robust (envelope-bound) searches."""
-    candidates: List[_Candidate] = []
-    groups_maps: List[Dict[str, int]] = []
-    pruned = 0
-    seen = 0
-    for ai, assignment in enumerate(assignments):
-        groups, candidate_lists = assignment_candidates(
-            component, assignment)
-        groups_maps.append(groups)
-        if vectorize:
-            check()
-            bound_arr = bounds.quick_bound_array(candidate_lists, assignment)
-            finite = np.flatnonzero(np.isfinite(bound_arr))
-            pruned += len(bound_arr) - len(finite)
-            if not len(finite):
-                continue
-            shape = tuple(len(lst) for lst in candidate_lists)
-            multi = np.unravel_index(finite, shape)
-            for t in range(len(finite)):
-                if t % _DEADLINE_STRIDE == 0:
-                    check()
-                sizes = tuple(
-                    lst[axis[t]]
-                    for lst, axis in zip(candidate_lists, multi))
-                flat = tuple(
-                    x for k, r in zip(sizes, assignment) for x in (k, r))
-                candidates.append(
-                    (float(bound_arr[finite[t]]), flat, sizes, ai))
-        else:
-            for sizes in product(*candidate_lists):
-                seen += 1
-                if seen % _DEADLINE_STRIDE == 0:
-                    check()
-                bound = bounds.quick_bound(sizes, assignment)
-                if math.isinf(bound):
-                    pruned += 1
-                    continue
-                flat = tuple(
-                    x for k, r in zip(sizes, assignment) for x in (k, r))
-                candidates.append((bound, flat, sizes, ai))
-    candidates.sort()
-    return candidates, groups_maps, pruned
 
 
 class PrunedOptimizer:
@@ -206,288 +103,36 @@ class PrunedOptimizer:
             component, platform, exec_model, segment_cap,
             modes=self.evaluator.planner.modes,
             geometry=self.evaluator.geometry)
-        self.batch = BatchEvaluator(self.evaluator) if vectorize else None
         self.metrics: Optional[EngineMetrics] = None
-        self._vars = [node.var for node in component.nodes]
-        self._assignments: List[Tuple[int, ...]] = []
-        self._pruned = 0
-        self._bound_hits = 0
-
-    # -- search ------------------------------------------------------------
 
     def optimize(self, cores: Optional[int] = None) -> ComponentOptResult:
         cores = cores if cores is not None else self.platform.cores
         started = time.perf_counter()
-        self._pruned = 0
-        self._bound_hits = 0
-        self._assignments = generate_nondominated_thread_groups(
-            cores, self.component)
-        size = space_size_of(self.component, self._assignments)
-        if size > self.max_points:
-            raise SearchSpaceTooLarge(
-                f"{size} candidate points exceed the pruned-search budget "
-                f"of {self.max_points}; use the heuristic (Algorithm 1)")
-
-        batch_scored0 = self.batch.scored if self.batch else 0
-        batch_fell0 = self.batch.fallbacks if self.batch else 0
-        candidates, groups_maps = self._enumerate()
+        space = CandidateSpace(
+            self.component, self.bounds, cores, self.max_points, "pruned",
+            self.evaluator.check_deadline, vectorize=self.vectorize,
+            shard_of=self.shard_of)
+        # The per-candidate walk is the B1 reference arm; every batched
+        # or pooled walk advances the incumbent per doubling window.
+        windows = BATCH_WINDOWS if self.vectorize or self.jobs > 1 \
+            else SERIAL_WINDOWS
+        incumbent = ScalarIncumbent(self.incumbent)
         with EvaluationEngine(self.evaluator, jobs=self.jobs,
-                              stage="pruned") as engine:
-            engine.note_pruned(self._pruned)   # enumeration-time drops
-            if engine.parallel:
-                best = self._search_parallel(engine, candidates, groups_maps)
-            else:
-                best = self._search_serial(engine, candidates, groups_maps)
-            best = engine.finalize(best)
+                              stage="pruned",
+                              vectorize=self.vectorize) as engine:
+            walk(space, engine, incumbent, windows)
+            best = engine.finalize(incumbent.best)
             self.metrics = engine.metrics()
-        if self.batch is not None:
-            # The serial-batched walk scores through ``self.batch``,
-            # which the engine never sees; fold its counters in so
-            # ``metrics.batched``/``batch_fallbacks`` survive the shard
-            # and scenario merge paths.  Worker-side batch counts are
-            # already in the engine metrics and the two paths never
-            # overlap, so this is a sum, not a double-count.
-            self.metrics.batched += self.batch.scored - batch_scored0
-            self.metrics.batch_fallbacks += \
-                self.batch.fallbacks - batch_fell0
         return ComponentOptResult(
             component=self.component,
             best=best,
             evaluations=self.evaluator.evaluations,
             elapsed_s=time.perf_counter() - started,
-            assignments_tried=len(self._assignments),
+            assignments_tried=len(space.assignments),
             cache_hits=self.evaluator.cache_hits,
-            pruned=self._pruned,
-            bound_hits=self._bound_hits,
-            batched=(self.batch.scored - batch_scored0
-                     if self.batch else 0),
-            batch_fallbacks=(self.batch.fallbacks - batch_fell0
-                             if self.batch else 0),
+            pruned=self.metrics.pruned,
+            bound_hits=self.metrics.bound_hits,
+            batched=self.metrics.batched,
+            batch_fallbacks=self.metrics.batch_fallbacks,
             exec_model=self.exec_model,
         )
-
-    # -- enumeration (tier-1 bounds) ---------------------------------------
-
-    def _enumerate(self) -> Tuple[List[_Candidate], List[Dict[str, int]]]:
-        """Bound every candidate point and sort best-bound-first.
-
-        Provably infeasible points (quick bound of +inf) never enter the
-        list: an admissible bound of infinity means the planner is
-        guaranteed to reject them, so they cannot be the winner — the
-        exhaustive search evaluates them only to learn the same thing.
-        With vectorization the bounds come out of
-        :meth:`BoundCalculator.quick_bound_array` (bitwise the scalar
-        values, so the same list and the same pruned count)."""
-        candidates, groups_maps, pruned = enumerate_candidates(
-            self.component, self._assignments, self.bounds,
-            self.evaluator.check_deadline, vectorize=self.vectorize)
-        self._pruned += pruned
-        if self.shard_of is not None:
-            # Round-robin over the *sorted* list: each shard's slice is
-            # itself sorted (tail pruning stays valid) and the best
-            # bounds spread evenly, so every shard lands a competitive
-            # incumbent early.  Dropped candidates belong to other
-            # shards — they are not "pruned" work.
-            index, count = self.shard_of
-            candidates = candidates[index::count]
-        return candidates, groups_maps
-
-    def _solution(self, sizes: Tuple[int, ...],
-                  groups: Dict[str, int]) -> Solution:
-        return Solution(
-            self.component, dict(zip(self._vars, sizes)), groups)
-
-    def _prune_one(self, engine: EvaluationEngine, key: tuple,
-                   bound: float) -> None:
-        self._pruned += 1
-        engine.note_pruned()
-        if self.evaluator.persist_bound(key, bound):
-            self._bound_hits += 1
-            engine.note_bound_hit()
-
-    # -- serial walk -------------------------------------------------------
-
-    def _search_serial(self, engine: EvaluationEngine,
-                       candidates: List[_Candidate],
-                       groups_maps: List[Dict[str, int]]
-                       ) -> Optional[MakespanResult]:
-        if self.batch is not None:
-            return self._search_serial_batched(
-                engine, candidates, groups_maps)
-        evaluator = self.evaluator
-        best: Optional[MakespanResult] = None
-        best_rank: Optional[tuple] = self.incumbent
-        for pos, (bound, flat, sizes, ai) in enumerate(candidates):
-            if pos % _DEADLINE_STRIDE == 0:
-                evaluator.check_deadline()
-            if best_rank is not None and (bound, flat) >= best_rank:
-                # The list is sorted by (bound, flat): everything from
-                # here on is at or past the incumbent's rank too.
-                remaining = len(candidates) - pos
-                self._pruned += remaining
-                engine.note_pruned(remaining)
-                break
-            solution = self._solution(sizes, groups_maps[ai])
-            result = evaluator.peek(solution)
-            if result is None:
-                refined = self.bounds.refine(
-                    bound, sizes, self._assignments[ai])
-                if math.isinf(refined) or (
-                        best_rank is not None and
-                        (refined, flat) >= best_rank):
-                    self._prune_one(engine, solution.key(), refined)
-                    continue
-                result = evaluator.evaluate(solution)
-            if result.feasible:
-                rank = (result.makespan_ns, flat)
-                if best_rank is None or rank < best_rank:
-                    best, best_rank = result, rank
-        return best
-
-    def _search_serial_batched(self, engine: EvaluationEngine,
-                               candidates: List[_Candidate],
-                               groups_maps: List[Dict[str, int]]
-                               ) -> Optional[MakespanResult]:
-        """The serial walk with batch-exact scoring per window.
-
-        Candidates are collected into windows (``_FIRST_WINDOW`` slots,
-        doubling to ``_BATCH_WINDOW``); every window
-        is scored by one :class:`BatchEvaluator` tensor program and the
-        incumbent advances only at window boundaries.  Memo/cache hits
-        occupy window slots and adopt at the boundary too, so a warm
-        re-run sees the *identical* incumbent trajectory as the cold run
-        — the same candidates are pruned, the same bounds persisted
-        (the warm-bound-hits accounting relies on this).  Versus the
-        per-candidate walk, the winner is bit-identical (every prune is
-        still admissible); only the evaluated/pruned split can differ,
-        bounded by the window size."""
-        evaluator = self.evaluator
-        batch = self.batch
-        best: Optional[MakespanResult] = None
-        best_rank: Optional[tuple] = self.incumbent
-        pos = 0
-        total = len(candidates)
-        limit = _FIRST_WINDOW
-        while pos < total:
-            evaluator.check_deadline()
-            #: (flat key, cached result or None, fresh solution or None)
-            window: List[tuple] = []
-            while pos < total and len(window) < limit:
-                bound, flat, sizes, ai = candidates[pos]
-                if best_rank is not None and (bound, flat) >= best_rank:
-                    remaining = total - pos
-                    self._pruned += remaining
-                    engine.note_pruned(remaining)
-                    pos = total
-                    break
-                pos += 1
-                solution = self._solution(sizes, groups_maps[ai])
-                hit = evaluator.peek(solution)
-                if hit is not None:
-                    window.append((flat, hit, None))
-                    continue
-                refined = self.bounds.refine(
-                    bound, sizes, self._assignments[ai])
-                if math.isinf(refined) or (
-                        best_rank is not None and
-                        (refined, flat) >= best_rank):
-                    self._prune_one(engine, solution.key(), refined)
-                    continue
-                window.append((flat, None, solution))
-            limit = min(limit * 2, _BATCH_WINDOW)
-            if not window:
-                continue
-            scored = iter(batch.evaluate_batch(
-                [solution for _, hit, solution in window
-                 if hit is None]))
-            for flat, hit, _solution in window:
-                result = hit if hit is not None else next(scored)
-                if result.feasible:
-                    rank = (result.makespan_ns, flat)
-                    if best_rank is None or rank < best_rank:
-                        best, best_rank = result, rank
-        return best
-
-    # -- windowed parallel walk --------------------------------------------
-
-    def _search_parallel(self, engine: EvaluationEngine,
-                         candidates: List[_Candidate],
-                         groups_maps: List[Dict[str, int]]
-                         ) -> Optional[MakespanResult]:
-        """Sliding-window dispatch: screen candidates in sorted order,
-        keep a bounded number of chunks in flight, harvest strictly in
-        submission order.  Workers re-check each candidate's bound
-        against the freshest incumbent (shipped rank + shared cell), so
-        chunks screened against a stale incumbent still skip planning.
-        The winner matches the serial walk bit for bit; only the
-        evaluated/pruned split depends on timing."""
-        evaluator = self.evaluator
-        window = engine.jobs * 2
-        pending: deque = deque()
-        best: Optional[MakespanResult] = None
-        best_rank: Optional[tuple] = self.incumbent
-        pos = 0
-        total = len(candidates)
-        exhausted = False
-
-        def adopt(result: Optional[MakespanResult],
-                  flat: Tuple[int, ...]) -> None:
-            nonlocal best, best_rank
-            if result is None or not result.feasible:
-                return
-            rank = (result.makespan_ns, flat)
-            if best_rank is None or rank < best_rank:
-                best, best_rank = result, rank
-                engine.publish_incumbent(result.makespan_ns)
-
-        while not exhausted or pending:
-            while not exhausted and len(pending) < window:
-                requests: List[tuple] = []
-                entries: List[tuple] = []
-                while pos < total and len(requests) < _CHUNK_SIZE:
-                    bound, flat, sizes, ai = candidates[pos]
-                    if best_rank is not None and (bound, flat) >= best_rank:
-                        remaining = total - pos
-                        self._pruned += remaining
-                        engine.note_pruned(remaining)
-                        pos = total
-                        break
-                    pos += 1
-                    solution = self._solution(sizes, groups_maps[ai])
-                    hit = evaluator.peek(solution)
-                    if hit is not None:
-                        adopt(hit, flat)
-                        continue
-                    refined = self.bounds.refine(
-                        bound, sizes, self._assignments[ai])
-                    if math.isinf(refined) or (
-                            best_rank is not None and
-                            (refined, flat) >= best_rank):
-                        self._prune_one(engine, solution.key(), refined)
-                        continue
-                    requests.append((solution.tile_sizes,
-                                     solution.thread_groups, refined, flat))
-                    entries.append((solution, flat, refined))
-                if pos >= total:
-                    exhausted = True
-                if requests:
-                    evaluator.check_deadline()
-                    pending.append((
-                        engine.submit_bounded(requests, best_rank), entries))
-                elif exhausted:
-                    break
-            if pending:
-                reply, entries = pending.popleft()
-                results = engine.harvest_bounded(
-                    reply, [entry[0] for entry in entries])
-                for (solution, flat, refined), result in zip(
-                        entries, results):
-                    if result is None:
-                        # Worker-side prune; the engine counted it.
-                        self._pruned += 1
-                        if evaluator.persist_bound(solution.key(), refined):
-                            self._bound_hits += 1
-                            engine.note_bound_hit()
-                    else:
-                        adopt(result, flat)
-        return best

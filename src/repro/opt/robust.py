@@ -62,16 +62,10 @@ from ..timing.platform import Platform
 from .bounds import BoundCalculator, flatten_key
 from .cache import PersistentCache
 from .component import ComponentOptResult
-from .engine import EngineMetrics, EvaluationEngine, effective_jobs
-from .pruned import (
-    DEFAULT_PRUNED_MAX_POINTS,
-    PrunedOptimizer,
-    enumerate_candidates,
-    validate_shard,
-)
+from .engine import EngineMetrics, EvaluationEngine
+from .pruned import DEFAULT_PRUNED_MAX_POINTS, PrunedOptimizer
 from .solution import Solution
-from .threadgroups import generate_nondominated_thread_groups
-from .vectorized import BatchEvaluator
+from .walk import CandidateSpace, validate_shard
 
 #: The supported risk objectives.
 RISK_OBJECTIVES: Tuple[str, ...] = ("worst", "cvar", "mean")
@@ -220,6 +214,7 @@ class RobustOptimizer:
         self.deadline = deadline
         self.budget_s = budget_s
         self.vectorize = vectorize
+        self.max_points = max_points
         #: Restrict phases A and B to shard *i* of *n* of the sorted
         #: candidate list.  Unlike the nominal search, shards exchange
         #: no incumbents here — each shard robustifies its own slice,
@@ -238,8 +233,11 @@ class RobustOptimizer:
         self._engine_metrics: List[EngineMetrics] = []
         self._pruned = 0
         self._probes = 0
-        self._batched = 0
-        self._batch_fallbacks = 0
+
+    @property
+    def evaluator(self) -> MakespanEvaluator:
+        """The nominal-parameter evaluator (phase A's)."""
+        return self._nominal_search.evaluator
 
     # -- scenario plumbing -------------------------------------------------
 
@@ -275,8 +273,6 @@ class RobustOptimizer:
         started = time.perf_counter()
         self._pruned = 0
         self._probes = 0
-        self._batched = 0
-        self._batch_fallbacks = 0
         self._engine_metrics = []
         self._scenario_evaluators = []
         nominal = self._nominal_search.optimize(cores)
@@ -333,32 +329,29 @@ class RobustOptimizer:
         Returns ``flat key -> (refined envelope bound, solution)`` in
         insertion order (sorted best-bound-first), including the nominal
         winner itself (its memoized scenario values make re-scoring it
-        free)."""
+        free).  This is a bound-only loop, not :func:`repro.opt.walk.
+        walk`: envelope bounds must never be persisted as bound entries
+        under the nominal context digest."""
         envelope = envelope_scenario(self.scenarios)
         bounds = BoundCalculator(
             self.component,
             envelope.apply_platform(self.platform),
             envelope.apply_exec_model(self.exec_model),
             self.segment_cap,
-            modes=self._nominal_search.evaluator.planner.modes,
+            modes=self.evaluator.planner.modes,
         )
-        check = self._nominal_search.evaluator.check_deadline
-        assignments = generate_nondominated_thread_groups(
-            cores, self.component)
-        nodes = self.component.nodes
-
-        candidates, groups_maps, pruned = enumerate_candidates(
-            self.component, assignments, bounds, check,
-            vectorize=self.vectorize)
-        self._pruned += pruned
-        if self.shard_of is not None:
-            # Same round-robin slice as the nominal search: sorted, so
-            # the tail prune below stays valid within the shard.
-            index, count = self.shard_of
-            candidates = candidates[index::count]
+        check = self.evaluator.check_deadline
+        # Same round-robin slice as the nominal search: sorted, so the
+        # tail prune below stays valid within the shard.
+        space = CandidateSpace(
+            self.component, bounds, cores, self.max_points, "robust",
+            check, vectorize=self.vectorize, shard_of=self.shard_of)
+        self._pruned += space.enum_pruned
+        candidates = space.candidates
 
         finalists: Dict[Tuple[int, ...], Tuple[float, Solution]] = {}
-        for pos, (bound, flat, sizes, ai) in enumerate(candidates):
+        for pos, candidate in enumerate(candidates):
+            bound, flat = candidate[0], candidate[1]
             if pos % _DEADLINE_STRIDE == 0:
                 check()
             if (bound, flat) >= incumbent_rank:
@@ -366,14 +359,11 @@ class RobustOptimizer:
                 # incumbent's (risk, key) rank too.
                 self._pruned += len(candidates) - pos
                 break
-            refined = bounds.refine(bound, sizes, assignments[ai])
+            refined = space.refine(candidate)
             if math.isinf(refined) or (refined, flat) >= incumbent_rank:
                 self._pruned += 1
                 continue
-            finalists[flat] = (refined, Solution(
-                self.component,
-                {node.var: k for node, k in zip(nodes, sizes)},
-                groups_maps[ai]))
+            finalists[flat] = (refined, space.solution(pos))
         return finalists
 
     # -- phase C: scenario-major scoring -----------------------------------
@@ -400,23 +390,16 @@ class RobustOptimizer:
         for index, evaluator in enumerate(self._scenario_evaluators):
             if not alive:
                 break
-            if self.vectorize and effective_jobs(self.jobs) <= 1:
-                # Scenario-major batch: the whole surviving cohort is
-                # scored as one tensor program per scenario, through
-                # the scenario's own evaluator (bit-identical results
-                # and counter movements to the per-candidate engine).
-                batch = BatchEvaluator(evaluator)
-                results = batch.evaluate_batch(
-                    [solution for _, _, solution in alive])
-                self._batched += batch.scored
-                self._batch_fallbacks += batch.fallbacks
-            else:
-                with EvaluationEngine(evaluator, jobs=self.jobs,
-                                      stage="robust") as engine:
-                    results = engine.evaluate_many([
-                        (solution.tile_sizes, solution.thread_groups)
-                        for _, _, solution in alive])
-                    self._engine_metrics.append(engine.metrics())
+            # Scenario-major: the whole surviving cohort is scored as
+            # one engine call (one tensor program when vectorized)
+            # through the scenario's own evaluator.
+            with EvaluationEngine(evaluator, jobs=self.jobs,
+                                  stage="robust",
+                                  vectorize=self.vectorize) as engine:
+                results = engine.evaluate_many([
+                    (solution.tile_sizes, solution.thread_groups)
+                    for _, _, solution in alive])
+                self._engine_metrics.append(engine.metrics())
             self._probes += len(alive)
             survivors = []
             remaining = count - index - 1
@@ -467,10 +450,9 @@ class RobustOptimizer:
         """Counter-summing aggregate over every engine this search ran.
 
         Phase A's engine metrics, each phase-C scenario engine's
-        dispatch/timing/batch counters, the serial-path batch counts,
-        and the screening prunes are *summed* (never last-writer-wins),
-        so ``reporting.engine_note`` of a robust run reports all the
-        work done.  Scenario-evaluator probe counters are taken from
+        dispatch/timing/batch counters, and the screening prunes are
+        *summed* (never last-writer-wins), so ``reporting.engine_note``
+        of a robust run reports all the work done.  Scenario-evaluator probe counters are taken from
         the evaluators themselves — each engine snapshot would
         otherwise re-count its evaluator's cumulative totals."""
         metrics = self._nominal_search.metrics
@@ -485,8 +467,6 @@ class RobustOptimizer:
             cache_hits=sum(
                 e.cache_hits for e in self._scenario_evaluators),
             pruned=self._pruned,
-            batched=self._batched,
-            batch_fallbacks=self._batch_fallbacks,
         )
         for snapshot in self._engine_metrics:
             extra.jobs = max(extra.jobs, snapshot.jobs)
@@ -527,8 +507,8 @@ class RobustOptimizer:
             cache_hits=cache_hits,
             pruned=nominal.pruned + self._pruned,
             bound_hits=nominal.bound_hits,
-            batched=nominal.batched + self._batched,
-            batch_fallbacks=nominal.batch_fallbacks + self._batch_fallbacks,
+            batched=self.metrics.batched,
+            batch_fallbacks=self.metrics.batch_fallbacks,
             exec_model=self.exec_model,
             risk=self.risk,
             alpha=self.alpha,

@@ -1,66 +1,36 @@
-"""Sharded distributed candidate evaluation over the persistent cache.
+"""Static-shard coordination over the persistent cache directory.
 
-The vectorized engine made single-host scoring fast; this module makes
-the *host count* the scaling axis.  Several worker processes — possibly
-on different machines — share nothing but a directory: the persistent
-JSONL makespan cache (``makespan-cache.jsonl``) plus one sibling
-coordination log (``shard-coord.jsonl``).  There is no server and no
-wire protocol; every coordination primitive is an fcntl-locked append to
-the log, exactly the discipline :class:`~repro.opt.cache.PersistentCache`
-already uses for result entries.
+``compile --shard I/N`` workers — possibly on different machines — share
+nothing but a directory: the persistent JSONL makespan cache
+(``makespan-cache.jsonl``) plus one sibling coordination log
+(``shard-coord.jsonl``).  There is no server and no wire protocol; every
+coordination primitive is an fcntl-locked append to the log, exactly the
+discipline :class:`~repro.opt.cache.PersistentCache` already uses for
+result entries (DESIGN.md §13).
 
-Protocol (DESIGN.md §13)
-------------------------
+Each worker walks the round-robin slice ``candidates[i::n]`` of the
+globally sorted candidate list (:class:`~repro.opt.walk.CandidateSpace`)
+and publishes full entries for scored candidates and bound-only entries
+for pruned ones.  Through :class:`StaticShardExchange` a pruned-search
+worker seeds its incumbent with the best feasible rank any sibling has
+published, and appends its own progress and winner records, which
+``shard status`` renders through :func:`space_statuses`.
 
-partition
-    :class:`ShardCoordinator` enumerates the component's candidate space
-    through :func:`~repro.opt.pruned.enumerate_candidates` — the same
-    quick-bound screen and the same global best-bound-first sort as the
-    single-host pruned search — and cuts the sorted list into contiguous
-    chunks.  The partition is a pure function of the candidate space:
-    every coordinator on every host derives the identical chunk list,
-    and both the space and each chunk carry a content-addressed SHA-256
-    id, so two hosts whose inputs differ in *any* way can never mistake
-    each other's records for their own.
-
-claim
-    A worker claims a chunk by appending ``{"t": "claim", ...}`` inside
-    one exclusive-lock critical section that re-reads the log first —
-    read-decide-append is atomic, so exactly one claimer wins a chunk
-    and the loser simply scans on to the next unclaimed one.  A claim
-    older than ``stale_s`` with no matching ``done`` record is presumed
-    crashed and is reclaimable (crash recovery by age).
-
-publish
-    Workers score their chunks through the existing evaluation stack
-    (:class:`~repro.opt.engine.EvaluationEngine` /
-    :class:`~repro.opt.vectorized.BatchEvaluator`) against the shared
-    :class:`PersistentCache`, publishing full result entries for
-    evaluated candidates and bound-only entries for pruned ones —
-    byte-for-byte what the single-host pruned search publishes.
-    Feasible local winners are additionally published as ``winner``
-    records; other workers adopt the best published rank as their seed
-    incumbent, which only ever *increases* pruning.
-
-reduce
-    :class:`ShardReducer` re-reads the cache and takes the minimum
-    ``(makespan, flat key)`` rank over the full feasible entries of the
-    candidate list.  Soundness: every published makespan is exact, and a
-    candidate is only ever pruned against the rank of some *true
-    feasible* incumbent — if the global winner ``w`` were pruned, then
-    ``(bound_w, flat_w) >= (m_i, flat_i)`` for a feasible ``i``; but
-    ``bound_w <= m_w`` gives ``(bound_w, flat_w) <= (m_w, flat_w) <=
-    (m_i, flat_i)``, with equality throughout only when ``i`` *is* ``w``
-    — already evaluated and published.  So the winner always has a full
-    entry and the reduce is bit-identical to the serial
-    :class:`~repro.opt.pruned.PrunedOptimizer` winner, cold or warm.
+The merge is ``shard-reduce``: one unsharded pruned compile over the
+warm cache.  Soundness: every published makespan is exact, and a
+candidate is only ever pruned against the rank of some *true feasible*
+incumbent — if the global winner ``w`` were pruned, then ``(bound_w,
+flat_w) >= (m_i, flat_i)`` for a feasible ``i``; but ``bound_w <= m_w``
+gives ``(bound_w, flat_w) <= (m_w, flat_w) <= (m_i, flat_i)``, with
+equality throughout only when ``i`` *is* ``w`` — already evaluated and
+published.  So the winner always has a full entry, and the reduce is
+bit-identical to the serial :class:`~repro.opt.pruned.PrunedOptimizer`
+winner.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import math
 import os
 import time
 from contextlib import contextmanager
@@ -68,22 +38,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import OptimizerError
 from ..loopir.component import TilableComponent
-from ..schedule.makespan import (
-    DEFAULT_SEGMENT_CAP,
-    MakespanEvaluator,
-    MakespanResult,
-)
-from ..timing.execmodel import ExecModel
-from ..timing.platform import Platform
-from .bounds import BoundCalculator, flatten_key
-from .cache import PersistentCache, solution_digest
-from .engine import EngineMetrics, EvaluationEngine
-from .exhaustive import SearchSpaceTooLarge, space_size_of
-from .pruned import DEFAULT_PRUNED_MAX_POINTS, enumerate_candidates
-from .solution import Solution
-from .threadgroups import generate_nondominated_thread_groups
+from .bounds import flatten_key
 
 try:
     import fcntl
@@ -93,15 +49,10 @@ except ImportError:                          # pragma: no cover - non-POSIX
 #: Coordination log (claims, completions, winners) inside the cache dir.
 SHARD_LOG_FILENAME = "shard-coord.jsonl"
 
-#: Sibling lockfile serialising read-decide-append claim transactions.
+#: Sibling lockfile serialising read-decide-append transactions.
 SHARD_LOCK_FILENAME = "shard-coord.lock"
 
-#: Candidates per claimable chunk.  Small enough that a late-joining
-#: worker still finds work, large enough to amortize one claim append.
-DEFAULT_CHUNK_SIZE = 64
-
-#: A claim this old with no matching done record is presumed crashed
-#: and may be re-claimed by any worker.
+#: A claim this old with no matching done record counts as stale.
 DEFAULT_STALE_S = 600.0
 
 #: A feasible ``(makespan, flat key)`` rank.
@@ -128,9 +79,8 @@ def merge_ranks(*ranks: Optional[Rank]) -> Optional[Rank]:
 def static_space_id(context_hash: str, count: int) -> str:
     """Space id of a static ``shard_of=(i, n)`` compile (no chunk log).
 
-    Static workers do not enumerate through a coordinator, so their
-    space identity is the evaluator's context fingerprint plus the shard
-    count — enough that incumbents are only ever exchanged between
+    The space identity is the evaluator's context fingerprint plus the
+    shard count — enough that incumbents are only ever exchanged between
     workers splitting the *same* component the *same* way."""
     return f"static:{context_hash}:{count}"
 
@@ -139,10 +89,10 @@ class ShardLog:
     """Append-only JSONL coordination log with an fcntl transaction lock.
 
     The log is the only shared mutable state of the shard protocol; all
-    reads used for *decisions* (claiming, winner publication) happen
-    inside :meth:`transact`, so read-decide-append is one atomic step
-    per writer.  Plain :meth:`records` reads (status display, reduce
-    completeness checks) take the lock only for the read."""
+    reads used for *decisions* (space announcement, winner publication)
+    happen inside :meth:`transact`, so read-decide-append is one atomic
+    step per writer.  Plain :meth:`records` reads (status display) take
+    the lock only for the read."""
 
     def __init__(self, directory: os.PathLike):
         self.directory = Path(directory)
@@ -232,16 +182,6 @@ class ShardLog:
         return True
 
 
-@dataclass(frozen=True)
-class ShardChunk:
-    """One claimable contiguous slice of the sorted candidate list."""
-
-    index: int
-    chunk_id: str             # sha256 over (space id, index, flat keys)
-    start: int                # position in the sorted candidate list
-    count: int
-
-
 @dataclass
 class SpaceStatus:
     """Claim/progress snapshot of one candidate space."""
@@ -270,211 +210,6 @@ class SpaceStatus:
         if self.winner is not None:
             parts.append(f"best {self.winner[0]:,.0f} ns")
         return ", ".join(parts)
-
-
-@dataclass
-class ShardWorkerResult:
-    """One worker's run: chunks drained, counters, best feasible rank."""
-
-    worker: str
-    chunks_done: int = 0
-    candidates: int = 0       # candidates in the drained chunks
-    scored: int = 0           # fresh evaluations + adopted hits
-    pruned: int = 0
-    bound_hits: int = 0
-    contention: int = 0       # chunks skipped because another worker held them
-    elapsed_s: float = 0.0
-    best: Optional[Rank] = None
-    metrics: Optional[EngineMetrics] = None
-
-
-@dataclass
-class ShardReduceResult:
-    """The merged outcome over every shard's published entries."""
-
-    best: Optional[MakespanResult]
-    rank: Optional[Rank]
-    results: int = 0          # full entries found on the candidate list
-    bounds: int = 0           # bound-only entries (pruned candidates)
-    missing: int = 0          # candidates with no published entry
-    elapsed_s: float = 0.0
-    status: Optional[SpaceStatus] = None
-
-    @property
-    def feasible(self) -> bool:
-        return self.best is not None and self.best.feasible
-
-
-class ShardIncompleteError(OptimizerError):
-    """Raised when reducing a space whose chunks are not all done."""
-
-
-class ShardCoordinator:
-    """Deterministic partition of one component's candidate space.
-
-    Every participating process builds its own coordinator from the same
-    component/platform/model/cache-directory inputs and derives the
-    identical chunk list; the shared state lives entirely in the cache
-    directory.  The coordinator is also the query surface: claim a chunk
-    for a worker, publish/fetch incumbent snapshots, inspect progress.
-    """
-
-    def __init__(self, component: TilableComponent, platform: Platform,
-                 exec_model: ExecModel, cache: PersistentCache,
-                 segment_cap: int = DEFAULT_SEGMENT_CAP,
-                 cores: Optional[int] = None,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 stale_s: float = DEFAULT_STALE_S,
-                 max_points: int = DEFAULT_PRUNED_MAX_POINTS,
-                 vectorize: bool = True):
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        self.component = component
-        self.platform = platform
-        self.exec_model = exec_model
-        self.cache = cache
-        self.cores = cores if cores is not None else platform.cores
-        self.chunk_size = chunk_size
-        self.stale_s = stale_s
-        self.vectorize = vectorize
-        self.evaluator = MakespanEvaluator(
-            component, platform, exec_model, segment_cap, cache=cache)
-        self.bounds = BoundCalculator(
-            component, platform, exec_model, segment_cap,
-            modes=self.evaluator.planner.modes,
-            geometry=self.evaluator.geometry)
-        self.log = ShardLog(cache.directory)
-        self._vars = [node.var for node in component.nodes]
-        self.assignments = generate_nondominated_thread_groups(
-            self.cores, component)
-        size = space_size_of(component, self.assignments)
-        if size > max_points:
-            raise SearchSpaceTooLarge(
-                f"{size} candidate points exceed the shard-search budget "
-                f"of {max_points}; use the heuristic (Algorithm 1)")
-        self.candidates, self.groups_maps, self.enum_pruned = \
-            enumerate_candidates(
-                component, self.assignments, self.bounds,
-                self.evaluator.check_deadline, vectorize=vectorize)
-        self.space_id = self._space_digest()
-        self.chunks = self._partition()
-
-    # -- content addressing ------------------------------------------------
-
-    def _space_digest(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(str(self.evaluator.context_hash).encode())
-        digest.update(json.dumps(
-            [self.cores, self.chunk_size, len(self.candidates)]).encode())
-        for _bound, flat, _sizes, _ai in self.candidates:
-            digest.update(json.dumps(list(flat)).encode())
-        return digest.hexdigest()
-
-    def _partition(self) -> List[ShardChunk]:
-        chunks = []
-        for index, start in enumerate(
-                range(0, len(self.candidates), self.chunk_size)):
-            count = min(self.chunk_size, len(self.candidates) - start)
-            digest = hashlib.sha256()
-            digest.update(self.space_id.encode())
-            digest.update(str(index).encode())
-            for _bound, flat, _sizes, _ai in \
-                    self.candidates[start:start + count]:
-                digest.update(json.dumps(list(flat)).encode())
-            chunks.append(ShardChunk(
-                index=index, chunk_id=digest.hexdigest(),
-                start=start, count=count))
-        return chunks
-
-    def solution_at(self, position: int) -> Solution:
-        _bound, _flat, sizes, ai = self.candidates[position]
-        return Solution(self.component, dict(zip(self._vars, sizes)),
-                        self.groups_maps[ai])
-
-    # -- claim / complete --------------------------------------------------
-
-    def announce(self, worker: str) -> None:
-        """Record the space's shape once, for progress inspection."""
-        with self.log.transact() as records:
-            for record in records:
-                if record.get("t") == "space" and \
-                        record.get("s") == self.space_id:
-                    return
-            self.log.append({
-                "t": "space", "s": self.space_id, "w": worker,
-                "chunks": len(self.chunks),
-                "candidates": len(self.candidates),
-                "component": self.component.label(),
-                "ts": time.time(),
-            })
-
-    def claim(self, worker: str) -> Tuple[Optional[ShardChunk], int]:
-        """Atomically claim the first available chunk.
-
-        Returns ``(chunk, contention)`` where *contention* counts chunks
-        skipped because another worker's live claim held them; ``(None,
-        contention)`` means the space is drained (or fully in flight).
-        A stale claim — older than ``stale_s`` with no done record — is
-        overwritten by a fresh claim record, so a crashed worker's chunk
-        is re-scored instead of lost."""
-        contention = 0
-        with self.log.transact() as records:
-            done = set()
-            latest_claim: Dict[str, Tuple[float, str]] = {}
-            for record in records:
-                if record.get("s") != self.space_id:
-                    continue
-                if record.get("t") == "done":
-                    done.add(record.get("c"))
-                elif record.get("t") == "claim":
-                    latest_claim[record.get("c")] = (
-                        float(record.get("ts", 0.0)),
-                        str(record.get("w", "")))
-            now = time.time()
-            for chunk in self.chunks:
-                if chunk.chunk_id in done:
-                    continue
-                claim = latest_claim.get(chunk.chunk_id)
-                if claim is not None:
-                    age = now - claim[0]
-                    if age < self.stale_s:
-                        contention += 1
-                        continue
-                self.log.append({
-                    "t": "claim", "s": self.space_id, "c": chunk.chunk_id,
-                    "i": chunk.index, "w": worker, "ts": now,
-                })
-                return chunk, contention
-        return None, contention
-
-    def complete(self, chunk: ShardChunk, worker: str, scored: int,
-                 pruned: int, elapsed_s: float) -> None:
-        self.log.append({
-            "t": "done", "s": self.space_id, "c": chunk.chunk_id,
-            "i": chunk.index, "w": worker, "scored": scored,
-            "pruned": pruned, "elapsed_s": round(elapsed_s, 6),
-            "ts": time.time(),
-        })
-
-    # -- incumbents --------------------------------------------------------
-
-    def best_published(self) -> Optional[Rank]:
-        return self.log.best_winner(self.space_id)
-
-    def publish_winner(self, worker: str, rank: Rank) -> bool:
-        return self.log.publish_winner(
-            self.space_id, worker, rank[0], rank[1])
-
-    # -- inspection --------------------------------------------------------
-
-    def status(self) -> SpaceStatus:
-        return space_statuses(
-            self.log, stale_s=self.stale_s).get(
-                self.space_id,
-                SpaceStatus(space=self.space_id,
-                            component=self.component.label(),
-                            chunks=len(self.chunks),
-                            candidates=len(self.candidates)))
 
 
 def space_statuses(log: ShardLog,
@@ -580,166 +315,3 @@ class StaticShardExchange:
             self.log.publish_winner(
                 self.space, self.worker, result.best.makespan_ns,
                 flatten_key(result.best.solution.key()))
-
-
-class ShardWorker:
-    """Claim-score-publish loop over one coordinator's chunks.
-
-    Scores exactly like the single-host pruned search: peek the shared
-    cache first, refine the quick bound against the freshest incumbent
-    (published snapshots merged with the local best), persist bound-only
-    entries for pruned candidates, and batch the survivors through one
-    :class:`EvaluationEngine` (vectorized or pooled per *jobs*).  Every
-    entry it publishes is exact, so any subset of workers — in any
-    interleaving, crashing and resuming included — leaves the cache in a
-    state the reducer folds to the serial winner."""
-
-    def __init__(self, coordinator: ShardCoordinator,
-                 worker_id: Optional[str] = None, jobs: int = 1):
-        self.coordinator = coordinator
-        self.worker = worker_id or f"w{os.getpid()}"
-        self.jobs = jobs
-        self._bound_hits = 0
-
-    def run(self, max_chunks: Optional[int] = None) -> ShardWorkerResult:
-        coordinator = self.coordinator
-        started = time.perf_counter()
-        out = ShardWorkerResult(worker=self.worker)
-        coordinator.announce(self.worker)
-        best: Optional[Rank] = coordinator.best_published()
-        with EvaluationEngine(coordinator.evaluator, jobs=self.jobs,
-                              stage="shard",
-                              vectorize=coordinator.vectorize) as engine:
-            while max_chunks is None or out.chunks_done < max_chunks:
-                chunk, contention = coordinator.claim(self.worker)
-                out.contention += contention
-                if chunk is None:
-                    break
-                best = merge_ranks(best, coordinator.best_published())
-                chunk_started = time.perf_counter()
-                scored, pruned, best = self._score_chunk(
-                    engine, chunk, best)
-                out.scored += scored
-                out.pruned += pruned
-                out.candidates += chunk.count
-                coordinator.complete(
-                    chunk, self.worker, scored, pruned,
-                    time.perf_counter() - chunk_started)
-                if best is not None:
-                    coordinator.publish_winner(self.worker, best)
-                out.chunks_done += 1
-            out.metrics = engine.metrics()
-        out.bound_hits = self._bound_hits
-        out.best = best
-        out.elapsed_s = time.perf_counter() - started
-        return out
-
-    def _score_chunk(self, engine: EvaluationEngine, chunk: ShardChunk,
-                     best: Optional[Rank]
-                     ) -> Tuple[int, int, Optional[Rank]]:
-        """Score one chunk; returns (scored, pruned, best rank)."""
-        coordinator = self.coordinator
-        evaluator = coordinator.evaluator
-        bounds = coordinator.bounds
-        scored = pruned = 0
-        fresh: List[Tuple[Solution, Tuple[int, ...]]] = []
-        for position in range(chunk.start, chunk.start + chunk.count):
-            bound, flat, sizes, ai = coordinator.candidates[position]
-            if best is not None and (bound, flat) >= best:
-                # The chunk is a contiguous slice of the globally
-                # sorted list: the rest of it is at or past the
-                # incumbent's rank too.
-                remaining = chunk.start + chunk.count - position
-                pruned += remaining
-                engine.note_pruned(remaining)
-                break
-            solution = coordinator.solution_at(position)
-            hit = evaluator.peek(solution)
-            if hit is not None:
-                scored += 1
-                if hit.feasible:
-                    best = merge_ranks(best, (hit.makespan_ns, flat))
-                continue
-            refined = bounds.refine(
-                bound, sizes, coordinator.assignments[ai])
-            if math.isinf(refined) or (
-                    best is not None and (refined, flat) >= best):
-                pruned += 1
-                engine.note_pruned()
-                if evaluator.persist_bound(solution.key(), refined):
-                    self._bound_hits += 1
-                    engine.note_bound_hit()
-                continue
-            fresh.append((solution, flat))
-        if fresh:
-            results = engine.evaluate_many([
-                (solution.tile_sizes, solution.thread_groups)
-                for solution, _flat in fresh])
-            for (solution, flat), result in zip(fresh, results):
-                scored += 1
-                if result.feasible:
-                    best = merge_ranks(best, (result.makespan_ns, flat))
-        return scored, pruned, best
-
-
-class ShardReducer:
-    """Pure ``(makespan, flat key)`` merge over the published entries.
-
-    Performs zero fresh plans: the winner comes back as a plan-less
-    cache hit, exactly like any warm-cache winner (callers needing the
-    segment schedule re-plan that single solution)."""
-
-    def __init__(self, coordinator: ShardCoordinator):
-        self.coordinator = coordinator
-
-    def reduce(self, require_complete: bool = True) -> ShardReduceResult:
-        coordinator = self.coordinator
-        started = time.perf_counter()
-        status = coordinator.status()
-        if require_complete and not status.complete:
-            raise ShardIncompleteError(
-                f"shard space {coordinator.space_id[:12]} is not fully "
-                f"scored ({status.describe()}); run more workers or "
-                f"reduce with require_complete=False")
-        # Other processes appended entries after this process first read
-        # the log; fold the file again so the merge sees all of them.
-        coordinator.cache.reload()
-        context_hash = coordinator.evaluator.context_hash
-        assert context_hash is not None
-        results = bounds = missing = 0
-        best_rank: Optional[Rank] = None
-        best_position: Optional[int] = None
-        for position, (_bound, flat, sizes, ai) in enumerate(
-                coordinator.candidates):
-            key = tuple(
-                (var, k, r) for var, k, r in zip(
-                    coordinator._vars, sizes,
-                    coordinator.assignments[ai]))
-            entry = coordinator.cache.peek_entry(
-                solution_digest(context_hash, key))
-            if entry is None:
-                missing += 1
-                continue
-            if "f" not in entry:
-                bounds += 1
-                continue
-            results += 1
-            if not entry.get("f"):
-                continue
-            rank: Rank = (PersistentCache.makespan_of(entry), flat)
-            if best_rank is None or rank < best_rank:
-                best_rank, best_position = rank, position
-        best: Optional[MakespanResult] = None
-        if best_position is not None:
-            # A pure cache read — from_cache=True, no plan constructed.
-            best = coordinator.evaluator.peek(
-                coordinator.solution_at(best_position))
-        return ShardReduceResult(
-            best=best,
-            rank=best_rank,
-            results=results,
-            bounds=bounds,
-            missing=missing,
-            elapsed_s=time.perf_counter() - started,
-            status=status,
-        )

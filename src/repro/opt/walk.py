@@ -1,0 +1,269 @@
+"""The one candidate walk over the Algorithm-1 space.
+
+Every enumerated search in this package follows one rule: bound every
+candidate, walk the survivors best-bound-first, prune what an admissible
+bound rules out, and score the rest.  This module holds that rule once.
+
+:class:`CandidateSpace` is the space: the non-dominated thread-group
+assignments, the ``max_points`` guard, the quick-bound enumeration
+(sorted by ``(bound, flat key)``), the optional ``shard_of`` round-robin
+slice, and the :class:`Solution` at each position.
+
+:func:`walk` is the loop.  It collects candidates into windows that
+double from ``windows[0]`` to ``windows[1]`` slots.  A memo or cache hit
+occupies a slot; a miss is screened by the *acceptor* and either pruned
+(its bound persisted as a bound-only cache entry) or queued for scoring.
+Each window is scored by one :meth:`EvaluationEngine.evaluate_many` call
+and its results are adopted, in candidate order, only at the window
+boundary.  The screen-decision sequence is therefore a pure function of
+the candidate list and the window schedule: identical across ``jobs``,
+``vectorize`` and cold/warm cache runs.
+
+The acceptor decides what is kept.  :class:`ScalarIncumbent` keeps the
+minimum ``(makespan, flat key)`` rank and also cuts the sorted tail in
+one step; the Pareto dominance archive lives with the front code in
+:mod:`repro.opt.pareto`.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import product
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from ..loopir.component import TilableComponent
+from ..schedule.makespan import MakespanResult
+from .bounds import BoundCalculator
+from .engine import EvaluationEngine
+from .exhaustive import (
+    SearchSpaceTooLarge,
+    assignment_candidates,
+    space_size_of,
+)
+from .solution import Solution
+from .threadgroups import generate_nondominated_thread_groups
+
+#: Deadline poll stride for the bound-only enumeration.
+_DEADLINE_STRIDE = 512
+
+#: Window schedule ``(first, largest)`` of the per-candidate walk: the
+#: incumbent advances after every candidate.
+SERIAL_WINDOWS = (1, 1)
+
+#: Window schedule of every batched or pooled walk.  Candidates are
+#: sorted best-bound-first, so a small opening window usually lands a
+#: near-optimal incumbent immediately; the largest window bounds how many
+#: candidates can be scored that a fresher incumbent would have pruned.
+BATCH_WINDOWS = (16, 256)
+
+#: Candidate record: (quick bound, flat key, tile sizes, assignment idx).
+Candidate = Tuple[float, Tuple[int, ...], Tuple[int, ...], int]
+
+#: A feasible ``(makespan, flat key)`` rank.
+Rank = Tuple[float, Tuple[int, ...]]
+
+
+def validate_shard(shard_of: Optional[Tuple[int, int]]
+                   ) -> Optional[Tuple[int, int]]:
+    """Normalize/validate a ``(index, count)`` shard restriction."""
+    if shard_of is None:
+        return None
+    try:
+        index, count = int(shard_of[0]), int(shard_of[1])
+    except (IndexError, TypeError, ValueError):
+        raise ValueError(
+            f"shard_of must be (index, count); got {shard_of!r}")
+    if count < 1 or not 0 <= index < count:
+        raise ValueError(
+            f"shard_of must be (index, count) with 0 <= index < count; "
+            f"got {shard_of!r}")
+    return index, count
+
+
+def enumerate_candidates(component: TilableComponent,
+                         assignments: Sequence[Tuple[int, ...]],
+                         bounds: BoundCalculator,
+                         check: Callable[[], None],
+                         vectorize: bool = True
+                         ) -> Tuple[List[Candidate],
+                                    List[Dict[str, int]], int]:
+    """Quick-bound every candidate point; sort survivors best-bound-first.
+
+    Returns ``(candidates, groups_maps, pruned)`` where *pruned* counts
+    the provably infeasible points (quick bound of +inf) that never
+    entered the list: an admissible bound of infinity means the planner
+    is guaranteed to reject them.  The vectorized path screens each
+    assignment's whole tile-size grid through :meth:`BoundCalculator.
+    quick_bound_array` — bitwise the same bounds, so the same candidate
+    list and the same pruned count as the scalar loop."""
+    candidates: List[Candidate] = []
+    groups_maps: List[Dict[str, int]] = []
+    pruned = 0
+    seen = 0
+    for ai, assignment in enumerate(assignments):
+        groups, candidate_lists = assignment_candidates(
+            component, assignment)
+        groups_maps.append(groups)
+        if vectorize:
+            check()
+            bound_arr = bounds.quick_bound_array(candidate_lists, assignment)
+            finite = np.flatnonzero(np.isfinite(bound_arr))
+            pruned += len(bound_arr) - len(finite)
+            if not len(finite):
+                continue
+            shape = tuple(len(lst) for lst in candidate_lists)
+            multi = np.unravel_index(finite, shape)
+            for t in range(len(finite)):
+                if t % _DEADLINE_STRIDE == 0:
+                    check()
+                sizes = tuple(
+                    lst[axis[t]]
+                    for lst, axis in zip(candidate_lists, multi))
+                flat = tuple(
+                    x for k, r in zip(sizes, assignment) for x in (k, r))
+                candidates.append(
+                    (float(bound_arr[finite[t]]), flat, sizes, ai))
+        else:
+            for sizes in product(*candidate_lists):
+                seen += 1
+                if seen % _DEADLINE_STRIDE == 0:
+                    check()
+                bound = bounds.quick_bound(sizes, assignment)
+                if math.isinf(bound):
+                    pruned += 1
+                    continue
+                flat = tuple(
+                    x for k, r in zip(sizes, assignment) for x in (k, r))
+                candidates.append((bound, flat, sizes, ai))
+    candidates.sort()
+    return candidates, groups_maps, pruned
+
+
+class CandidateSpace:
+    """One component's enumerated, sorted, optionally sharded space.
+
+    *label* names the search in the ``max_points`` guard's message.
+    With ``shard_of=(i, n)`` only every n-th candidate of the globally
+    sorted list is kept, starting at i: each slice is itself sorted (the
+    tail cut stays valid) and the best bounds spread evenly, so every
+    shard lands a competitive incumbent early.  Dropped candidates
+    belong to other shards; they are not counted as pruned."""
+
+    def __init__(self, component: TilableComponent,
+                 bounds: BoundCalculator, cores: int, max_points: int,
+                 label: str, check: Callable[[], None],
+                 vectorize: bool = True,
+                 shard_of: Optional[Tuple[int, int]] = None):
+        self.component = component
+        self.bounds = bounds
+        self.assignments = generate_nondominated_thread_groups(
+            cores, component)
+        self.size = space_size_of(component, self.assignments)
+        if self.size > max_points:
+            raise SearchSpaceTooLarge(
+                f"{self.size} candidate points exceed the {label}-search "
+                f"budget of {max_points}; use the heuristic (Algorithm 1)")
+        self.candidates, self.groups_maps, self.enum_pruned = \
+            enumerate_candidates(component, self.assignments, bounds,
+                                 check, vectorize=vectorize)
+        if shard_of is not None:
+            index, count = shard_of
+            self.candidates = self.candidates[index::count]
+        self._vars = [node.var for node in component.nodes]
+
+    def solution(self, pos: int) -> Solution:
+        _bound, _flat, sizes, ai = self.candidates[pos]
+        return Solution(self.component, dict(zip(self._vars, sizes)),
+                        self.groups_maps[ai])
+
+    def refine(self, candidate: Candidate) -> float:
+        """The candidate's tier-2 (DMA-path + exact SPM) bound."""
+        bound, _flat, sizes, ai = candidate
+        return self.bounds.refine(bound, sizes, self.assignments[ai])
+
+
+class ScalarIncumbent:
+    """Acceptor keeping the minimum ``(makespan, flat key)`` rank.
+
+    Prune comparisons reuse the exhaustive search's tie-break rank, and
+    every bound is admissible, so nothing that could still win is ever
+    discarded.  *seed* is an optional true feasible rank published by
+    another shard; it can only prune more."""
+
+    def __init__(self, seed: Optional[Rank] = None):
+        self.best: Optional[MakespanResult] = None
+        self.rank: Optional[Rank] = seed
+
+    def cuts_tail(self, bound: float, flat: Tuple[int, ...]) -> bool:
+        return self.rank is not None and (bound, flat) >= self.rank
+
+    def screen(self, space: CandidateSpace, candidate: Candidate,
+               solution: Solution) -> Optional[float]:
+        refined = space.refine(candidate)
+        if math.isinf(refined) or self.cuts_tail(refined, candidate[1]):
+            return refined
+        return None
+
+    def adopt(self, result: MakespanResult, flat: Tuple[int, ...]) -> None:
+        if result.feasible:
+            rank = (result.makespan_ns, flat)
+            if self.rank is None or rank < self.rank:
+                self.best, self.rank = result, rank
+
+
+def walk(space: CandidateSpace, engine: EvaluationEngine, acceptor,
+         windows: Tuple[int, int]) -> int:
+    """Walk *space* in windows of ``windows[0]`` doubling to
+    ``windows[1]`` slots, screening misses with *acceptor* and scoring
+    each window through *engine*; returns the number of window slots
+    filled (fresh scores plus cache hits).
+
+    *acceptor* provides ``cuts_tail(bound, flat)`` (True prunes this
+    candidate and every later one), ``screen(space, candidate,
+    solution)`` (the bound to persist when the candidate is pruned, else
+    None) and ``adopt(result, flat)``.  Every prune — enumeration drops
+    included — and every bound hit is counted on *engine*."""
+    evaluator = engine.evaluator
+    engine.note_pruned(space.enum_pruned)
+    scored = 0
+    candidates = space.candidates
+    limit, largest = windows
+    pos, total = 0, len(candidates)
+    while pos < total:
+        evaluator.check_deadline()
+        #: (flat key, cached result or None, fresh solution or None)
+        window: List[tuple] = []
+        while pos < total and len(window) < limit:
+            candidate = candidates[pos]
+            bound, flat = candidate[0], candidate[1]
+            if acceptor.cuts_tail(bound, flat):
+                # Sorted by (bound, flat): everything from here on is at
+                # or past the acceptor's rank too.
+                engine.note_pruned(total - pos)
+                pos = total
+                break
+            solution = space.solution(pos)
+            pos += 1
+            hit = evaluator.peek(solution)
+            if hit is not None:
+                window.append((flat, hit, None))
+                continue
+            persisted = acceptor.screen(space, candidate, solution)
+            if persisted is not None:
+                engine.note_pruned()
+                if evaluator.persist_bound(solution.key(), persisted):
+                    engine.note_bound_hit()
+                continue
+            window.append((flat, None, solution))
+        limit = min(limit * 2, largest)
+        if not window:
+            continue
+        scored += len(window)
+        fresh = [(solution.tile_sizes, solution.thread_groups)
+                 for _flat, hit, solution in window if hit is None]
+        results = iter(engine.evaluate_many(fresh) if fresh else ())
+        for flat, hit, _solution in window:
+            acceptor.adopt(hit if hit is not None else next(results), flat)
+    return scored

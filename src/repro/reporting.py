@@ -176,27 +176,6 @@ def engine_note(metrics) -> str:
     return ", ".join(parts)
 
 
-def shard_note(result) -> str:
-    """One-line :class:`~repro.opt.shard.ShardWorkerResult` summary.
-
-    Shows how one worker's claim loop went — chunks drained, the
-    scored/pruned split, claim contention, and the best feasible rank
-    it saw — the line printed per shard worker and archived next to
-    the shard-scaling bench numbers."""
-    parts = [f"shard worker {result.worker}: "
-             f"{result.chunks_done} chunk(s), "
-             f"{result.candidates:,} candidates "
-             f"({result.scored:,} scored, {result.pruned:,} pruned)"]
-    if result.bound_hits:
-        parts.append(f"{result.bound_hits:,} bound hits")
-    if result.contention:
-        parts.append(f"{result.contention:,} claim collisions")
-    if result.best is not None:
-        parts.append(f"best {result.best[0]:,.0f} ns")
-    parts.append(f"{result.elapsed_s:.3f} s")
-    return ", ".join(parts)
-
-
 def robust_note(result) -> str:
     """One-line robust-search summary for one component result.
 

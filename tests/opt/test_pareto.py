@@ -298,6 +298,7 @@ class TestFrontExactness:
         with eight_cpus():
             result = _assert_exact_front(comp, model, Platform())
         assert result.dominance_pruned > 0
+        assert (result.scored, result.dominance_pruned) == (1633, 465)
 
     def test_infeasible_space_has_an_empty_front(self, lstm_small):
         comp, model = lstm_small
@@ -317,6 +318,16 @@ class TestFrontExactness:
 
 class TestDeterminism:
     """Front AND counters bit-identical across every execution toggle."""
+
+    GOLDEN = {"lstm_small": (36, 0), "rnn_small": (36, 0)}
+
+    @pytest.mark.parametrize("fixture", sorted(GOLDEN))
+    def test_golden_counters(self, fixture, request):
+        comp, model = request.getfixturevalue(fixture)
+        with eight_cpus():
+            result = ParetoOptimizer(comp, Platform(), model).optimize()
+        assert (result.scored, result.dominance_pruned) == \
+            self.GOLDEN[fixture]
 
     def test_vectorize_toggle(self, rnn_small):
         comp, model = rnn_small

@@ -4,8 +4,8 @@ The contract under test: `PrunedOptimizer` returns the *bit-identical*
 winner — same makespan, same solution key, same feasibility — as the
 unpruned `ExhaustiveOptimizer`, on any component, serial or parallel,
 cold or against a warm persistent cache.  The evaluation count is
-exactly what pruning reduces, so it is the one field deliberately
-outside the contract.
+exactly what pruning reduces, so it is deliberately outside the winner
+contract; it is deterministic, though, and pinned separately.
 """
 
 import math
@@ -170,6 +170,49 @@ class TestWinnerParity:
         with eight_cpus(), pytest.raises(SearchSpaceTooLarge):
             PrunedOptimizer(
                 comp, Platform(), model, max_points=3).optimize()
+
+
+def _counters(result):
+    return (result.evaluations, result.pruned, result.bound_hits,
+            result.batched)
+
+
+class TestGoldenCounters:
+    """The evaluated/pruned split is outside the winner contract, but it
+    is deterministic, so it is pinned: cold, then warm against the
+    cold run's cache, with the batched walk (windows doubling from 16)
+    and the per-candidate walk."""
+
+    GOLDEN = {
+        ("lstm_small", True): [(24, 12, 0, 24), (0, 12, 2, 0)],
+        ("lstm_small", False): [(24, 12, 0, 0), (0, 12, 2, 0)],
+        ("rnn_small", True): [(16, 20, 0, 16), (0, 20, 0, 0)],
+        ("rnn_small", False): [(14, 22, 0, 0), (0, 22, 0, 0)],
+    }
+
+    @pytest.mark.parametrize("fixture,vectorize", sorted(GOLDEN))
+    def test_cold_and_warm_counters(self, fixture, vectorize, request,
+                                    tmp_path):
+        comp, model = request.getfixturevalue(fixture)
+        got = [_counters(PrunedOptimizer(
+            comp, Platform(), model, vectorize=vectorize,
+            cache=PersistentCache(tmp_path)).optimize())
+            for _ in range(2)]
+        assert got == self.GOLDEN[fixture, vectorize]
+
+    @needs_fork
+    @pytest.mark.parametrize("fixture", ["lstm_small", "rnn_small"])
+    def test_jobs_do_not_change_counters(self, fixture, request):
+        # Workers only score whole windows; every screen decision is
+        # made in the parent at window boundaries.
+        comp, model = request.getfixturevalue(fixture)
+        with eight_cpus():
+            serial = PrunedOptimizer(
+                comp, Platform(), model, jobs=1).optimize()
+            parallel = PrunedOptimizer(
+                comp, Platform(), model, jobs=2).optimize()
+        assert _winner(serial) == _winner(parallel)
+        assert _counters(serial) == _counters(parallel)
 
 
 class TestBoundEntries:

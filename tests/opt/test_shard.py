@@ -1,16 +1,17 @@
-"""Sharded distributed evaluation: partition, claims, reduce parity.
+"""Static sharding over the shared cache: partition, exchange, reduce.
 
-The contract under test: any number of shard workers, in any
-interleaving (concurrent processes included), leave the shared cache in
-a state whose reduce is the *bit-identical* winner of the serial
-`PrunedOptimizer` — same makespan, same solution key — cold or warm,
-vectorized or not.  Claim records must hand every chunk to exactly one
-worker (stale claims excepted), and crash recovery must re-score a
-stale chunk instead of losing it.
+The contract under test: ``compile --shard I/N`` workers partition the
+sorted candidate list into round-robin slices (`CandidateSpace`), so
+any set of shard workers, run one after another or concurrently, leaves
+the shared cache in a state whose warm unsharded pruned reduce is the
+*bit-identical* winner of the serial `PrunedOptimizer` — same makespan,
+same solution key — with zero fresh evaluations once every shard ran.
+The coordination log records one claim/done pair per shard, which is
+what ``shard status`` reports, and a shard that never ran is simply
+re-scored by the reduce.
 """
 
 import multiprocessing
-import time
 
 import pytest
 
@@ -20,19 +21,16 @@ from repro.loopir.component import component_at
 from repro.opt.cache import PersistentCache
 from repro.opt.engine import EngineMetrics
 from repro.opt.pareto import ParetoOptimizer, pareto_front
-from repro.opt.pruned import PrunedOptimizer, validate_shard
+from repro.opt.pruned import PrunedOptimizer
 from repro.opt.robust import RobustOptimizer
 from repro.opt.shard import (
-    ShardCoordinator,
-    ShardIncompleteError,
     ShardLog,
-    ShardReducer,
-    ShardWorker,
     StaticShardExchange,
     merge_ranks,
     space_statuses,
     static_space_id,
 )
+from repro.opt.walk import CandidateSpace, validate_shard
 from repro.sim.profiler import fit_component_model
 from repro.timing.platform import Platform
 
@@ -58,12 +56,6 @@ def lstm_small():
     return _component("lstm", "SMALL", ["s1_0", "p"])
 
 
-def _coordinator(data, tmp_path, **kwargs):
-    comp, model = data
-    return ShardCoordinator(
-        comp, Platform(), model, PersistentCache(tmp_path), **kwargs)
-
-
 def _winner(result):
     if result.best is None or not result.best.feasible:
         return None
@@ -76,227 +68,182 @@ def _serial_winner(data, cache=None, **kwargs):
         comp, Platform(), model, cache=cache, **kwargs).optimize()
 
 
+def _space(data, shard_of=None):
+    comp, model = data
+    bounds = PrunedOptimizer(comp, Platform(), model).bounds
+    return CandidateSpace(comp, bounds, Platform().cores, 10**6, "test",
+                          lambda: None, shard_of=shard_of)
+
+
+def _flats(space):
+    return [flat for _bound, flat, _sizes, _ai in space.candidates]
+
+
+def _shard(data, directory, index, count, **kwargs):
+    """One ``compile --shard`` worker on one component: seed from the
+    log, walk the slice against the shared cache, publish."""
+    comp, model = data
+    optimizer = PrunedOptimizer(
+        comp, Platform(), model, cache=PersistentCache(directory),
+        shard_of=(index, count), **kwargs)
+    exchange = StaticShardExchange(
+        directory, optimizer.evaluator.context_hash, (index, count))
+    optimizer.incumbent = exchange.seed()
+    result = optimizer.optimize()
+    exchange.publish(comp, result)
+    return optimizer, result
+
+
+def _reduce(data, directory, **kwargs):
+    """``shard-reduce``: one unsharded pruned search on the warm cache."""
+    comp, model = data
+    return PrunedOptimizer(comp, Platform(), model,
+                           cache=PersistentCache(directory),
+                           **kwargs).optimize()
+
+
+def _status(data, directory, count):
+    comp, model = data
+    context = PrunedOptimizer(
+        comp, Platform(), model,
+        cache=PersistentCache(directory)).evaluator.context_hash
+    return space_statuses(ShardLog(directory))[
+        static_space_id(context, count)]
+
+
 class TestPartition:
-    def test_identical_across_coordinators(self, rnn_small, tmp_path):
-        a = _coordinator(rnn_small, tmp_path, chunk_size=16)
-        b = _coordinator(rnn_small, tmp_path, chunk_size=16)
-        assert a.space_id == b.space_id
-        assert [c.chunk_id for c in a.chunks] == \
-            [c.chunk_id for c in b.chunks]
+    def test_identical_across_coordinators(self, rnn_small):
+        # Every shard process derives its slice on its own; the slices
+        # must agree without any exchange.
+        assert _flats(_space(rnn_small, (1, 3))) == \
+            _flats(_space(rnn_small, (1, 3)))
 
-    def test_chunks_cover_every_candidate_once(self, rnn_small, tmp_path):
-        coord = _coordinator(rnn_small, tmp_path, chunk_size=7)
-        positions = []
-        for chunk in coord.chunks:
-            positions.extend(range(chunk.start, chunk.start + chunk.count))
-        assert positions == list(range(len(coord.candidates)))
-        assert len({c.chunk_id for c in coord.chunks}) == len(coord.chunks)
-
-    def test_chunk_size_changes_space_id(self, rnn_small, tmp_path):
-        a = _coordinator(rnn_small, tmp_path, chunk_size=16)
-        b = _coordinator(rnn_small, tmp_path, chunk_size=8)
-        assert a.space_id != b.space_id
+    def test_chunks_cover_every_candidate_once(self, rnn_small):
+        full = _flats(_space(rnn_small))
+        parts = [flat for index in range(3)
+                 for flat in _flats(_space(rnn_small, (index, 3)))]
+        assert sorted(parts) == sorted(full)
+        assert len(set(parts)) == len(parts)
 
     def test_component_changes_space_id(self, rnn_small, lstm_small,
                                         tmp_path):
-        a = _coordinator(rnn_small, tmp_path)
-        b = _coordinator(lstm_small, tmp_path)
-        assert a.space_id != b.space_id
-
-    def test_bad_chunk_size_rejected(self, rnn_small, tmp_path):
-        with pytest.raises(ValueError):
-            _coordinator(rnn_small, tmp_path, chunk_size=0)
+        ids = set()
+        for comp, model in (rnn_small, lstm_small):
+            context = PrunedOptimizer(
+                comp, Platform(), model,
+                cache=PersistentCache(tmp_path)).evaluator.context_hash
+            ids.add(static_space_id(context, 2))
+        assert len(ids) == 2
 
 
 class TestClaims:
     def test_each_chunk_claimed_exactly_once(self, rnn_small, tmp_path):
-        coord = _coordinator(rnn_small, tmp_path, chunk_size=8)
-        seen = []
-        while True:
-            chunk, _contention = coord.claim("w1")
-            if chunk is None:
-                break
-            seen.append(chunk.chunk_id)
-        assert sorted(seen) == sorted(c.chunk_id for c in coord.chunks)
-        # Nothing was completed, so a second pass finds all in flight.
-        chunk, contention = coord.claim("w2")
-        assert chunk is None
-        assert contention == len(coord.chunks)
+        for index in range(3):
+            _shard(rnn_small, tmp_path, index, 3)
+        status = _status(rnn_small, tmp_path, 3)
+        records = ShardLog(tmp_path).records(status.space)
+        claims = sorted(r["i"] for r in records if r.get("t") == "claim")
+        assert claims == [0, 1, 2]
+        assert status.claims == 3 and status.done == 3
 
-    def test_two_claimers_alternate_disjointly(self, rnn_small, tmp_path):
-        a = _coordinator(rnn_small, tmp_path, chunk_size=8)
-        b = _coordinator(rnn_small, tmp_path, chunk_size=8)
-        mine, theirs = [], []
-        while True:
-            one, _ = a.claim("w1")
-            two, _ = b.claim("w2")
-            if one is None and two is None:
-                break
-            if one is not None:
-                mine.append(one.chunk_id)
-            if two is not None:
-                theirs.append(two.chunk_id)
-        assert not set(mine) & set(theirs)
-        assert sorted(mine + theirs) == sorted(
-            c.chunk_id for c in a.chunks)
-
-    def test_stale_claim_is_reclaimed(self, rnn_small, tmp_path):
-        coord = _coordinator(rnn_small, tmp_path, chunk_size=8,
-                             stale_s=0.0)
-        first, _ = coord.claim("crashed")
-        time.sleep(0.01)
-        second, _ = coord.claim("rescuer")
-        assert second is not None
-        assert second.chunk_id == first.chunk_id
-
-    def test_done_chunk_never_reissued(self, rnn_small, tmp_path):
-        coord = _coordinator(rnn_small, tmp_path, chunk_size=8,
-                             stale_s=0.0)
-        chunk, _ = coord.claim("w1")
-        coord.complete(chunk, "w1", scored=chunk.count, pruned=0,
-                       elapsed_s=0.0)
-        others = set()
-        while True:
-            nxt, _ = coord.claim("w1")
-            if nxt is None:
-                break
-            others.add(nxt.chunk_id)
-            coord.complete(nxt, "w1", scored=nxt.count, pruned=0,
-                           elapsed_s=0.0)
-        assert chunk.chunk_id not in others
+    def test_two_claimers_alternate_disjointly(self, rnn_small):
+        full = _flats(_space(rnn_small))
+        first = _flats(_space(rnn_small, (0, 2)))
+        second = _flats(_space(rnn_small, (1, 2)))
+        assert not set(first) & set(second)
+        assert first == full[0::2] and second == full[1::2]
 
     def test_status_counts_progress(self, rnn_small, tmp_path):
-        coord = _coordinator(rnn_small, tmp_path, chunk_size=8)
-        coord.announce("w1")
-        chunk, _ = coord.claim("w1")
-        status = coord.status()
-        assert status.chunks == len(coord.chunks)
-        assert status.candidates == len(coord.candidates)
-        assert status.claimed == 1 and status.done == 0
-        assert not status.complete
-        coord.complete(chunk, "w1", scored=chunk.count, pruned=0,
-                       elapsed_s=0.0)
-        status = coord.status()
-        assert status.done == 1 and status.claimed == 0
-        assert "w1" in status.workers
-
-
-def _run_worker(data, tmp_path, worker_id, barrier=None, **kwargs):
-    coord = _coordinator(data, tmp_path, **kwargs)
-    if barrier is not None:
-        barrier.wait()
-    return ShardWorker(coord, worker_id=worker_id).run()
+        _shard(rnn_small, tmp_path, 0, 2)
+        status = _status(rnn_small, tmp_path, 2)
+        assert status.chunks == 2 and status.done == 1
+        assert status.claimed == 0 and not status.complete
+        _shard(rnn_small, tmp_path, 1, 2)
+        status = _status(rnn_small, tmp_path, 2)
+        assert status.done == 2 and status.complete
+        assert len(status.workers) == 2
+        serial = _serial_winner(rnn_small)
+        assert status.winner[0] == serial.best.makespan_ns
 
 
 class TestWorkerReduceParity:
     @pytest.mark.parametrize("vectorize", [True, False])
     def test_two_workers_match_serial_winner(self, rnn_small, tmp_path,
                                              vectorize):
-        serial = _serial_winner(rnn_small)
-        for worker_id in ("w1", "w2"):
-            _run_worker(rnn_small, tmp_path, worker_id,
-                        chunk_size=8, vectorize=vectorize)
-        coord = _coordinator(rnn_small, tmp_path, chunk_size=8,
-                             vectorize=vectorize)
-        merged = ShardReducer(coord).reduce()
-        assert merged.feasible
-        # Tail-pruned candidates never get an entry (serial does the
-        # same); the taxonomy still has to account for every candidate.
-        assert merged.results + merged.bounds + merged.missing == \
-            len(coord.candidates)
-        assert (merged.best.makespan_ns, merged.best.solution.key()) == \
-            _winner(serial)
-        assert merged.rank[0] == serial.best.makespan_ns
+        serial = _serial_winner(rnn_small, vectorize=vectorize)
+        for index in range(2):
+            _shard(rnn_small, tmp_path, index, 2, vectorize=vectorize)
+        merged = _reduce(rnn_small, tmp_path, vectorize=vectorize)
+        assert _winner(merged) == _winner(serial)
+        if not vectorize:
+            # The per-candidate reduce adopts every cache hit before it
+            # screens the next candidate, so it prunes whatever a shard
+            # pruned; a windowed reduce may re-score a few of those.
+            assert merged.evaluations == 0
 
     def test_reduce_warm_is_identical_and_planless(self, rnn_small,
                                                    tmp_path):
         serial = _serial_winner(rnn_small)
-        _run_worker(rnn_small, tmp_path, "w1", chunk_size=8)
-        first = ShardReducer(
-            _coordinator(rnn_small, tmp_path, chunk_size=8)).reduce()
-        # Warm pass: a brand-new coordinator over the same directory
-        # re-reduces without any worker running again.
-        second = ShardReducer(
-            _coordinator(rnn_small, tmp_path, chunk_size=8)).reduce()
+        for index in range(2):
+            _shard(rnn_small, tmp_path, index, 2, vectorize=False)
+        first = _reduce(rnn_small, tmp_path, vectorize=False)
+        second = _reduce(rnn_small, tmp_path, vectorize=False)
         for merged in (first, second):
-            assert (merged.best.makespan_ns,
-                    merged.best.solution.key()) == _winner(serial)
+            assert _winner(merged) == _winner(serial)
+            assert merged.evaluations == 0
             assert merged.best.from_cache and merged.best.plan is None
 
     def test_single_worker_drains_everything(self, lstm_small, tmp_path):
         serial = _serial_winner(lstm_small)
-        out = _run_worker(lstm_small, tmp_path, "solo", chunk_size=16)
-        coord = _coordinator(lstm_small, tmp_path, chunk_size=16)
-        assert out.chunks_done == len(coord.chunks)
-        assert out.candidates == len(coord.candidates)
-        assert out.scored + out.pruned == out.candidates
-        merged = ShardReducer(coord).reduce()
-        assert (merged.best.makespan_ns, merged.best.solution.key()) == \
-            _winner(serial)
+        _optimizer, only = _shard(lstm_small, tmp_path, 0, 1)
+        assert _winner(only) == _winner(serial)
+        assert only.evaluations == serial.evaluations
+        merged = _reduce(lstm_small, tmp_path)
+        assert _winner(merged) == _winner(serial)
+        assert merged.evaluations == 0
 
     def test_worker_metrics_flow_through_engine(self, rnn_small,
                                                 tmp_path):
-        out = _run_worker(rnn_small, tmp_path, "w1", chunk_size=8)
-        assert out.metrics is not None
-        assert out.metrics.pruned == out.pruned
-        assert out.metrics.bound_hits == out.bound_hits
-
-    def test_incomplete_space_refuses_reduce(self, rnn_small, tmp_path):
-        coord = _coordinator(rnn_small, tmp_path, chunk_size=8)
-        coord.announce("w1")
-        chunk, _ = coord.claim("w1")
-        coord.complete(chunk, "w1", scored=chunk.count, pruned=0,
-                       elapsed_s=0.0)
-        with pytest.raises(ShardIncompleteError):
-            ShardReducer(coord).reduce()
-        partial = ShardReducer(coord).reduce(require_complete=False)
-        assert partial.missing > 0
+        optimizer, result = _shard(rnn_small, tmp_path, 0, 2)
+        assert optimizer.metrics is not None
+        assert optimizer.metrics.pruned == result.pruned
+        assert optimizer.metrics.bound_hits == result.bound_hits
+        assert optimizer.metrics.evaluations == result.evaluations
 
     def test_crashed_worker_chunk_is_rescored(self, rnn_small, tmp_path):
         serial = _serial_winner(rnn_small)
-        crashed = _coordinator(rnn_small, tmp_path, chunk_size=8,
-                               stale_s=0.0)
-        crashed.announce("crashed")
-        crashed.claim("crashed")       # claim, then "die" before scoring
-        time.sleep(0.01)
-        _run_worker(rnn_small, tmp_path, "rescuer", chunk_size=8,
-                    stale_s=0.0)
-        merged = ShardReducer(
-            _coordinator(rnn_small, tmp_path, chunk_size=8)).reduce()
-        assert (merged.best.makespan_ns, merged.best.solution.key()) == \
-            _winner(serial)
+        _shard(rnn_small, tmp_path, 0, 2)   # shard 2 of 2 never runs
+        assert not _status(rnn_small, tmp_path, 2).complete
+        merged = _reduce(rnn_small, tmp_path)
+        assert _winner(merged) == _winner(serial)
+        assert merged.evaluations > 0       # the missing slice, re-scored
 
 
-def _race_worker(kernel_name, preset, vars_, cache_dir, worker_id,
-                 started, release):
-    comp, model = _component(kernel_name, preset, vars_)
-    coord = ShardCoordinator(
-        comp, Platform(), model, PersistentCache(cache_dir), chunk_size=4)
+def _race_worker(cache_dir, index, started, release):
+    data = _component("rnn", "SMALL", ["s1", "p"])
     started.release()
     release.acquire()                  # both processes start together
-    ShardWorker(coord, worker_id=worker_id).run()
+    _shard(data, cache_dir, index, 2, vectorize=False)
 
 
 @needs_fork
 class TestConcurrentClaimRace:
     def test_two_processes_share_without_overlap(self, rnn_small,
                                                  tmp_path):
-        """Two live claimer processes racing on the same log: every
-        chunk is scored by exactly one of them, none is scored twice,
-        none is dropped, and the reduce still matches the serial
-        winner."""
-        started = multiprocessing.Semaphore(0)
-        release = multiprocessing.Semaphore(0)
+        """Two live shard processes on one cache and one log: each
+        publishes exactly one claim/done pair, and the reduce over what
+        they wrote matches the serial winner with zero fresh plans."""
+        context = multiprocessing.get_context("fork")
+        started = context.Semaphore(0)
+        release = context.Semaphore(0)
         procs = [
-            multiprocessing.Process(
-                target=_race_worker,
-                args=("rnn", "SMALL", ["s1", "p"], str(tmp_path),
-                      worker_id, started, release))
-            for worker_id in ("p", "q")
+            context.Process(target=_race_worker,
+                            args=(str(tmp_path), index, started, release))
+            for index in range(2)
         ]
         for proc in procs:
             proc.start()
-        for _ in procs:                # wait for both coordinators
+        for _ in procs:                # wait for both components
             started.acquire()
         for _ in procs:                # then release them at once
             release.release()
@@ -304,21 +251,13 @@ class TestConcurrentClaimRace:
             proc.join(timeout=120)
         assert all(proc.exitcode == 0 for proc in procs)
 
-        coord = _coordinator(rnn_small, tmp_path, chunk_size=4)
-        records = coord.log.records(coord.space_id)
-        done = [r for r in records if r.get("t") == "done"]
-        # Exactly one done record per chunk: nothing scored twice,
-        # nothing dropped.
-        assert sorted(r["c"] for r in done) == \
-            sorted(c.chunk_id for c in coord.chunks)
-        claimants = {r["c"]: r["w"] for r in records
-                     if r.get("t") == "claim"}
-        assert all(done_r["w"] == claimants[done_r["c"]]
-                   for done_r in done)
-        merged = ShardReducer(coord).reduce()
-        serial = _serial_winner(rnn_small)
-        assert (merged.best.makespan_ns, merged.best.solution.key()) == \
-            _winner(serial)
+        status = _status(rnn_small, tmp_path, 2)
+        records = ShardLog(tmp_path).records(status.space)
+        done = sorted(r["i"] for r in records if r.get("t") == "done")
+        assert done == [0, 1]
+        merged = _reduce(rnn_small, tmp_path, vectorize=False)
+        assert _winner(merged) == _winner(_serial_winner(rnn_small))
+        assert merged.evaluations == 0
 
 
 class TestStaticSharding:
@@ -401,8 +340,13 @@ class TestStaticSharding:
         # A different shard count is a different space: no cross-talk.
         assert StaticShardExchange(
             cache.directory, "ctx", (0, 3)).seed() is None
+        second.publish(comp, serial, winner=False)
         statuses = space_statuses(ShardLog(cache.directory))
-        assert static_space_id("ctx", 2) in statuses
+        status = statuses[static_space_id("ctx", 2)]
+        assert status.chunks == 2 and status.done == 2
+        assert status.complete and status.claimed == 0
+        assert status.winner == (serial.best.makespan_ns, flat)
+        assert len(status.workers) == 2
 
 
 class TestEngineMetricsMerge:
