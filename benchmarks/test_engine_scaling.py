@@ -57,18 +57,17 @@ def test_e1_pool_scaling(lstm_setup, benchmark):
             started = time.perf_counter()
             result = optimizer.optimize(8)
             elapsed = time.perf_counter() - started
-            outcomes[jobs] = (result, elapsed, optimizer.metrics)
+            outcomes[jobs] = (result, elapsed)
         return outcomes
 
     outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
-    base_result, base_elapsed, _ = outcomes[1]
+    base_result, base_elapsed = outcomes[1]
     for jobs in JOB_COUNTS:
-        result, elapsed, metrics = outcomes[jobs]
+        result, elapsed = outcomes[jobs]
         report.add_row(jobs, effective_jobs(jobs), round(elapsed, 3),
                        round(base_elapsed / elapsed, 2),
                        result.evaluations, result.makespan_ns)
-        if metrics is not None:
-            report.add_note(f"jobs={jobs}: {engine_note(metrics)}")
+        report.add_note(f"jobs={jobs}: {engine_note(result.metrics)}")
         # The determinism contract, asserted bit for bit.
         assert result.makespan_ns == base_result.makespan_ns
         assert result.evaluations == base_result.evaluations

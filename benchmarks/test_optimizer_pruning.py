@@ -158,14 +158,13 @@ def test_b1_pruning_parity(parity_components, benchmark):
                     cache=PersistentCache(directory),
                     vectorize=False).optimize(8)
             rows.append((label, size, exhaustive, exhaustive_plans,
-                         pruned, pruned_plans, wall_s, optimizer.metrics,
-                         warm, bound_entries))
+                         pruned, pruned_plans, wall_s, warm, bound_entries))
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     records = {}
     for label, size, exhaustive, ex_plans, pruned, pr_plans, wall_s, \
-            metrics, warm, bound_entries in rows:
+            warm, bound_entries in rows:
         # Winner identity, bit for bit, on every component.
         assert exhaustive.feasible == pruned.feasible, label
         if exhaustive.feasible:
@@ -193,20 +192,19 @@ def test_b1_pruning_parity(parity_components, benchmark):
             "wall_s": round(wall_s, 4),
             "makespan_ns": pruned.makespan_ns if pruned.feasible else None,
         }
-        if metrics is not None:
-            report.add_note(f"{label}: {engine_note(metrics)}")
+        report.add_note(f"{label}: {engine_note(pruned.metrics)}")
     report.emit()
     _merge_bench_json("parity", records)
 
     # The bound tier must actually persist and re-hit entries somewhere
     # in the corpus — a sweep where both totals are zero measures
     # nothing (this was the warm-run `bound_hits: 0` bug).
-    assert sum(row[9] for row in rows) > 0, "no bound entries persisted"
-    assert sum(row[8].bound_hits for row in rows) > 0, "no warm bound hits"
+    assert sum(row[8] for row in rows) > 0, "no bound entries persisted"
+    assert sum(row[7].bound_hits for row in rows) > 0, "no warm bound hits"
 
     # The acceptance bar: >= 3x fewer fresh plans on the largest space.
     largest = max(rows, key=lambda row: row[1])
-    label, size, _, ex_plans, _, pr_plans, _, _, _, _ = largest
+    label, size, _, ex_plans, _, pr_plans, _, _, _ = largest
     assert pr_plans * 3 <= ex_plans, \
         f"{label} ({size} points): {ex_plans} vs {pr_plans} plans"
 
@@ -241,9 +239,9 @@ def test_b2_search_beyond_the_guard(bank, benchmark):
             started = time.perf_counter()
             result = optimizer.optimize(8)   # OptimizerTimeout would fail
             elapsed = time.perf_counter() - started
-        return result, elapsed, counter["plans"], optimizer.metrics
+        return result, elapsed, counter["plans"]
 
-    result, elapsed, plans, metrics = benchmark.pedantic(
+    result, elapsed, plans = benchmark.pedantic(
         run, rounds=1, iterations=1)
     assert result.feasible
     assert elapsed <= STAGE_BUDGET_S
@@ -251,8 +249,7 @@ def test_b2_search_beyond_the_guard(bank, benchmark):
     report.add_row(f"cnn/LARGE ({size} points)", size, result.evaluations,
                    result.pruned, plans, round(elapsed, 3),
                    round(result.makespan_ns))
-    if metrics is not None:
-        report.add_note(engine_note(metrics))
+    report.add_note(engine_note(result.metrics))
     report.add_note(
         f"evaluations avoided: {result.pruned} of {size} "
         f"({result.pruned / size:.1%})")

@@ -117,13 +117,12 @@ def test_p1_front_exactness_and_cost(frontier_components, benchmark):
             reference = ParetoOptimizer(
                 comp, platform, model, prune=False).optimize(8)
             single = PrunedOptimizer(comp, platform, model).optimize(8)
-            rows.append((label, size, result, reference, single,
-                         wall_s, optimizer.metrics))
+            rows.append((label, size, result, reference, single, wall_s))
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     records = {}
-    for label, size, result, reference, single, wall_s, metrics in rows:
+    for label, size, result, reference, single, wall_s in rows:
         # The acceptance bar: pruning never drops a front member.
         assert _front_key(result) == _front_key(reference), label
         vectors = [p.objectives for p in result.front]
@@ -158,8 +157,7 @@ def test_p1_front_exactness_and_cost(frontier_components, benchmark):
             "best_makespan_ns": result.front[0].makespan_ns
             if result.front else None,
         }
-        if metrics is not None:
-            report.add_note(f"{label}: {engine_note(metrics)}")
+        report.add_note(f"{label}: {engine_note(result.metrics)}")
     report.emit()
     _merge_bench_json("frontier", records)
 

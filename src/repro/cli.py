@@ -219,10 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_cmd.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help=f"shared cache directory (also honours ${CACHE_ENV})")
-    shard_cmd.add_argument(
-        "--stale-s", type=float, default=600.0, metavar="S",
-        help="claims older than this without a done record count "
-             "as stale (reclaimable)")
     return parser
 
 
@@ -676,7 +672,7 @@ def cmd_shard(args) -> int:
             "shard status needs the shared cache directory: pass "
             f"--cache-dir or set ${CACHE_ENV}")
     log = ShardLog(directory)
-    statuses = space_statuses(log, stale_s=args.stale_s)
+    statuses = space_statuses(log)
     if not statuses:
         print(f"no shard coordination records in {log.path}")
         return 0

@@ -285,7 +285,6 @@ class PremCompiler:
     def compile(self, kernel: Kernel, cores: Optional[int] = None,
                 strategy: str = "heuristic",
                 tree: Optional[LoopTree] = None,
-                optimizer: Optional[TreeOptimizer] = None,
                 deadline: Optional[float] = None,
                 budget_s: float = 0.0,
                 jobs: Optional[int] = None,
@@ -353,7 +352,7 @@ class PremCompiler:
             return self._compile_sequential(kernel, tree, fission_result)
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
-        optimizer = optimizer or TreeOptimizer(
+        optimizer = TreeOptimizer(
             tree, machine=self.machine, max_iter=self.max_iter,
             seed=self.seed, segment_cap=self.segment_cap)
         run = dict(deadline=deadline, budget_s=budget_s,

@@ -166,12 +166,6 @@ class LatticeRangeError(SourceAnalysisError, ValueError):
         super().__init__(detail)
 
 
-class FissionLegalityError(SourceAnalysisError, ValueError):
-    """A requested loop distribution breaks a backward dependence."""
-
-    code = "PREM521"
-
-
 # ---------------------------------------------------------------------------
 # structured PREM-invariant diagnostics
 

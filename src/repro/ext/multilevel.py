@@ -78,17 +78,6 @@ class TwoLevelResult:
     bulk_transfer_ns_total: float = 0.0
 
 
-def _core_block_loads(core: CoreSchedule, block_segments: int,
-                      loads_per_slot: Sequence[float]) -> List[int]:
-    """Bytes fetched per block (sum of its segments' load payloads)."""
-    blocks = []
-    n = core.n_segments
-    for first in range(0, n, block_segments):
-        last = min(first + block_segments, n)
-        blocks.append((first + 1, last))
-    return blocks
-
-
 def evaluate_two_level(component: TilableComponent, solution: Solution,
                        platform: TwoLevelPlatform, exec_model: ExecModel,
                        block_segments: int,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..poly.dependence import Dependence, DependenceAnalyzer, StatementInfo
-from .ast import Kernel, Loop, Stmt
+from .ast import Kernel, Loop
 from .validity import (
     chain_heads,
     count_guarded_executions,
@@ -156,10 +156,6 @@ class LoopTree:
                 if node.var == var:
                     return node
         raise KeyError(f"no loop-tree node for iterator {var!r}")
-
-    def stmts_under_node(self, node: LoopTreeNode) -> List[Stmt]:
-        """All statements executed inside this node (incl. folded levels)."""
-        return self.kernel.stmts_under(node.loop)
 
     def render(self) -> str:
         """Human-readable tree dump (mirrors Figure 3.2)."""

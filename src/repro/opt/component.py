@@ -27,8 +27,7 @@ from ..schedule.makespan import (
 from ..timing.execmodel import ExecModel
 from ..timing.platform import Platform
 from .cache import PersistentCache
-from .engine import EvaluationEngine
-from .solution import Solution
+from .engine import EngineMetrics, EvaluationEngine
 from .threadgroups import generate_nondominated_thread_groups
 from .tilesizes import select_tile_sizes
 
@@ -37,24 +36,32 @@ from .tilesizes import select_tile_sizes
 FULL_SCAN_LIMIT = 8
 
 
+def _counter(name: str) -> property:
+    return property(lambda self: getattr(self.metrics, name),
+                    doc=f"``metrics.{name}``")
+
+
 @dataclass
 class ComponentOptResult:
     """Outcome of Algorithm 1 on one component."""
 
     component: TilableComponent
     best: Optional[MakespanResult]
-    evaluations: int
     elapsed_s: float
     assignments_tried: int
-    cache_hits: int = 0
-    pruned: int = 0               # candidates discarded on an admissible bound
-    bound_hits: int = 0           # pruned candidates already in the cache
-    batched: int = 0              # candidates decided by the vector engine
-    batch_fallbacks: int = 0      # batch candidates routed to the simulator
+    #: The search's counters, straight from its evaluation engine.
+    metrics: EngineMetrics = field(default_factory=EngineMetrics)
     #: The fitted model the search ranked candidates under; lets late
     #: consumers (gantt/report on a cache-hit winner) re-plan the best
     #: solution without re-deriving the model.
     exec_model: Optional[ExecModel] = None
+
+    evaluations = _counter("evaluations")
+    cache_hits = _counter("cache_hits")
+    pruned = _counter("pruned")           # discarded on an admissible bound
+    bound_hits = _counter("bound_hits")   # pruned points the cache knew
+    batched = _counter("batched")         # decided by the vector engine
+    batch_fallbacks = _counter("batch_fallbacks")   # simulator-scored
 
     @property
     def feasible(self) -> bool:
@@ -89,7 +96,6 @@ class ComponentOptimizer:
             component, platform, exec_model, segment_cap, cache=cache)
         if deadline is not None:
             self.evaluator.set_deadline(deadline, "heuristic", budget_s)
-        self._engine: Optional[EvaluationEngine] = None
 
     # -- Algorithm 1 --------------------------------------------------------
 
@@ -101,36 +107,28 @@ class ComponentOptimizer:
             cores, self.component)
 
         best: Optional[MakespanResult] = None
-        with EvaluationEngine(self.evaluator, jobs=self.jobs,
-                              stage="heuristic") as engine:
-            self._engine = engine
-            try:
-                for assignment in assignments:
-                    result = self._descend(assignment, rng)
-                    if result is None:
-                        continue
-                    if best is None or \
-                            result.makespan_ns < best.makespan_ns:
-                        best = result
-                # A pool- or cache-computed winner carries no plan; a
-                # freshly-evaluated one gets its plan re-attached so the
-                # result matches a serial cold run bit for bit.
-                if best is not None:
-                    best = engine.finalize(best)
-            finally:
-                self._engine = None
-        elapsed = time.perf_counter() - started
+        with EvaluationEngine(self.evaluator, jobs=self.jobs) as engine:
+            for assignment in assignments:
+                result = self._descend(engine, assignment, rng)
+                if result is None:
+                    continue
+                if best is None or result.makespan_ns < best.makespan_ns:
+                    best = result
+            # A pool- or cache-computed winner carries no plan; a
+            # freshly-evaluated one gets its plan re-attached so the
+            # result matches a serial cold run bit for bit.
+            best = engine.finalize(best)
+            metrics = engine.metrics()
         return ComponentOptResult(
             component=self.component,
             best=best,
-            evaluations=self.evaluator.evaluations,
-            elapsed_s=elapsed,
+            elapsed_s=time.perf_counter() - started,
             assignments_tried=len(assignments),
-            cache_hits=self.evaluator.cache_hits,
+            metrics=metrics,
             exec_model=self.exec_model,
         )
 
-    def _descend(self, assignment: Sequence[int],
+    def _descend(self, engine: EvaluationEngine, assignment: Sequence[int],
                  rng: random.Random) -> Optional[MakespanResult]:
         """Coordinate descent over tile sizes for one R assignment.
 
@@ -153,7 +151,7 @@ class ComponentOptimizer:
             for _ in range(self.max_iter):
                 for level, options in enumerate(candidates):
                     best_k, result = self._find_minimum(
-                        current, level, options, groups)
+                        engine, current, level, options, groups)
                     current[level] = best_k
                     if result is not None and result.feasible and (
                             best_result is None
@@ -167,38 +165,34 @@ class ComponentOptimizer:
                 best_result = final
         return best_result
 
-    def _find_minimum(self, current: List[int], level: int,
-                      options: Sequence[int], groups: Dict[str, int]
+    def _find_minimum(self, engine: EvaluationEngine, current: List[int],
+                      level: int, options: Sequence[int],
+                      groups: Dict[str, int]
                       ) -> Tuple[int, Optional[MakespanResult]]:
-        """Discrete ternary search (full scan for short lists)."""
-        def value(index: int) -> float:
-            probe = list(current)
-            probe[level] = options[index]
-            return self._evaluate(probe, groups).makespan_ns
+        """Discrete ternary search (full scan for short lists).
 
-        if len(options) <= FULL_SCAN_LIMIT:
-            engine = self._engine
-            if engine is not None and engine.parallel:
-                # Batch the whole scan through the worker pool.  The
-                # same candidate set is evaluated as in the serial scan
-                # and ties resolve to the lowest index, so the chosen
-                # tile size (and the evaluation count) is identical.
-                requests = []
-                for index in range(len(options)):
-                    probe = list(current)
-                    probe[level] = options[index]
-                    requests.append((
-                        {node.var: k for node, k
-                         in zip(self.component.nodes, probe)}, groups))
-                values = [r.makespan_ns
-                          for r in engine.evaluate_many(requests)]
-                best_index = min(range(len(options)),
-                                 key=lambda i: (values[i], i))
-            else:
-                best_index = min(range(len(options)), key=value)
-        else:
-            lo, hi = 0, len(options) - 1
-            scanned = False
+        Every scan goes through *engine* as one batch — the pool's when
+        ``jobs > 1``.  Ties resolve to the lowest index, so the chosen
+        tile size and the evaluation count match a probe-by-probe scan.
+        """
+        def probe(index: int) -> Dict[str, int]:
+            sizes = list(current)
+            sizes[level] = options[index]
+            return {node.var: k
+                    for node, k in zip(self.component.nodes, sizes)}
+
+        def scan(lo: int, hi: int) -> int:
+            results = engine.evaluate_many(
+                [(probe(index), groups) for index in range(lo, hi + 1)])
+            return lo + min(range(len(results)),
+                            key=lambda i: (results[i].makespan_ns, i))
+
+        def value(index: int) -> float:
+            return self.evaluator.evaluate_params(
+                probe(index), groups).makespan_ns
+
+        lo, hi = 0, len(options) - 1
+        if len(options) > FULL_SCAN_LIMIT:
             while hi - lo > 2:
                 third = (hi - lo) // 3
                 m1, m2 = lo + third, hi - third
@@ -207,18 +201,14 @@ class ComponentOptimizer:
                     # Flat infeasible plateau: convexity gives no gradient
                     # (SPM overflow at large K, segment cap at tiny K), so
                     # fall back to scanning the remaining window.
-                    scanned = True
                     break
                 if v1 < v2:
                     hi = m2 - 1
                 else:
                     lo = m1 + 1
-            best_index = min(range(lo, hi + 1), key=value)
-            del scanned
+        best_index = scan(lo, hi)
 
-        probe = list(current)
-        probe[level] = options[best_index]
-        result = self._evaluate(probe, groups)
+        result = self.evaluator.evaluate_params(probe(best_index), groups)
         if not math.isfinite(result.makespan_ns):
             return options[best_index], None
         return options[best_index], result

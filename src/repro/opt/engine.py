@@ -1,27 +1,32 @@
-"""Parallel candidate-evaluation engine.
+"""The candidate-evaluation engine: one scoring path, inline or pooled.
 
 Every optimizer in this package boils down to probing many ``(R, K)``
-candidates through :meth:`MakespanEvaluator.evaluate_params`; Section
-4.3 motivates the heuristic precisely because that probing is the cost
-that "would take unacceptable time" at scale.  This module fans those
-probes out over a ``multiprocessing`` worker pool while keeping the
-serial semantics bit-for-bit:
+candidates; Section 4.3 motivates the heuristic precisely because that
+probing is the cost that "would take unacceptable time" at scale.
+:meth:`EvaluationEngine.evaluate_many` is the one way in, and it keeps
+the serial semantics bit for bit at any ``jobs``:
 
-* the parent evaluator stays authoritative — candidates are deduplicated
-  against its memo and the persistent cache *before* dispatch, each
-  dispatched candidate is adopted back exactly once, so the evaluation
-  counts match a serial run regardless of worker scheduling;
-* the reduction (:meth:`EvaluationEngine.best_of`) orders candidates by
-  ``(makespan, solution key)``, so the winner is independent of worker
-  completion order and of ``jobs``;
+* the parent evaluator stays authoritative — invalid probes, memo and
+  persistent-cache hits and in-batch duplicates are resolved in the
+  parent *before* scoring, and every fresh outcome is adopted back
+  exactly once, so the evaluation counts match a serial run regardless
+  of worker scheduling;
+* the fresh solutions go to :func:`score`, the one routine that picks
+  batch-exact scoring (:meth:`BatchEvaluator.evaluate_batch`) or
+  per-candidate scoring (:meth:`MakespanEvaluator.evaluate`).  A serial
+  engine runs it inline; each pool worker runs it on its task, reduces
+  the results to plain values and ships them back with a timeout
+  marker, and the parent adopts them through
+  :meth:`MakespanEvaluator.record`;
 * workers receive the component / platform / exec-model once, at pool
   start (the pool uses the ``fork`` start method, so the unpicklable
   statement compute closures are inherited, not serialized); task
-  payloads are just tile-size/thread-group dicts and results are plain
-  scalars.
+  payloads are just tile-size/thread-group dicts.
 
-On platforms without ``fork`` (or with ``jobs <= 1``) the engine
-degrades to inline evaluation — same results, same counts, one process.
+All counters live in one :class:`EngineMetrics` record, which every
+optimizer hands on as ``ComponentOptResult.metrics``.  On platforms
+without ``fork`` (or with ``jobs <= 1``) the engine evaluates inline —
+same results, same counts, one process.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ import multiprocessing
 import os
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import OptimizerTimeout
 from ..schedule.makespan import MakespanEvaluator, MakespanResult
@@ -51,102 +56,10 @@ _WORKER_SUBBATCH = 48
 #: for wedged workers only.
 _CLOSE_GRACE_S = 5.0
 
-# ---------------------------------------------------------------------------
-# worker side
-
-_WORKER: Dict[str, object] = {}
-
-
-def _init_worker(component, platform, exec_model, segment_cap, modes,
-                 deadline, stage, budget_s, vectorize=False) -> None:
-    """Pool initializer: build this process's evaluator once.
-
-    Under the fork start method the arguments are inherited by memory
-    copy, so the component's compute closures never need pickling.
-    ``perf_counter`` is CLOCK_MONOTONIC on Linux and therefore
-    comparable across the fork, which keeps the parent's deadline
-    meaningful inside workers.  With *vectorize* the worker scores its
-    chunks through a :class:`BatchEvaluator` (bit-identical outcomes,
-    one tensor program per sub-batch instead of one plan per
-    candidate)."""
-    evaluator = MakespanEvaluator(
-        component, platform, exec_model, segment_cap, modes)
-    if deadline is not None:
-        evaluator.set_deadline(deadline, stage, budget_s)
-    _WORKER["evaluator"] = evaluator
-    _WORKER["batch"] = BatchEvaluator(evaluator) if vectorize else None
-
-
-def _slim(result: MakespanResult) -> Tuple[float, bool, str, int, int]:
-    return (result.makespan_ns, result.feasible, result.reason,
-            result.spm_bytes_needed, result.transferred_bytes)
-
-
-def _eval_chunk(requests: Sequence[Request]) -> Dict:
-    """Evaluate one chunk of fresh candidates; return slim outcomes."""
-    evaluator = _WORKER["evaluator"]
-    batch = _WORKER.get("batch")
-    started = time.perf_counter()
-    outcomes: List[Tuple[float, bool, str, int, int]] = []
-    timeout: Optional[Tuple[str, float]] = None
-    batched = fallbacks = 0
-
-    solutions: Optional[List[Solution]] = None
-    if batch is not None:
-        solutions = []
-        for tile_sizes, thread_groups in requests:
-            try:
-                solutions.append(Solution(
-                    evaluator.component, tile_sizes, thread_groups))
-            except ValueError:
-                solutions = None      # invalid probe: per-candidate path
-                break
-
-    if solutions is not None:
-        # Sub-batches keep the deadline responsive: each one is preceded
-        # by a clock check, and a timeout ships the completed outcomes
-        # so no finished tensor program is wasted.
-        for start in range(0, len(solutions), _WORKER_SUBBATCH):
-            sub = solutions[start:start + _WORKER_SUBBATCH]
-            try:
-                evaluator.check_deadline()
-                results = batch.evaluate_batch(sub)
-            except OptimizerTimeout as error:
-                timeout = (error.stage, error.budget_s)
-                break
-            for result, exact in zip(results, batch.exactness_mask):
-                outcomes.append(_slim(result))
-                if exact:
-                    batched += 1
-                else:
-                    fallbacks += 1
-    else:
-        for tile_sizes, thread_groups in requests:
-            try:
-                result = evaluator.evaluate_params(tile_sizes, thread_groups)
-            except OptimizerTimeout as error:
-                # OptimizerTimeout's two-argument constructor does not
-                # survive pickling across the pool; ship a sentinel
-                # instead.
-                timeout = (error.stage, error.budget_s)
-                break
-            outcomes.append(_slim(result))
-    return {
-        "outcomes": outcomes,
-        "busy_s": time.perf_counter() - started,
-        "timeout": timeout,
-        "batched": batched,
-        "batch_fallbacks": fallbacks,
-    }
-
-
-# ---------------------------------------------------------------------------
-# parent side
-
 
 @dataclass
 class EngineMetrics:
-    """Counters the engine exposes for reporting/benchmarks."""
+    """The counters of one search, from the engine to the result."""
 
     jobs: int = 1
     evaluations: int = 0          # fresh plans (serial-equivalent count)
@@ -218,22 +131,86 @@ class EngineMetrics:
             return self
         return NotImplemented
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "jobs": self.jobs,
-            "evaluations": self.evaluations,
-            "memo hits": self.memo_hits,
-            "cache hits": self.cache_hits,
-            "invalid": self.invalid,
-            "dispatched": self.dispatched,
-            "evaluations/s": round(self.evaluations_per_s, 1),
-            "cache hit rate": round(self.cache_hit_rate, 4),
-            "worker utilization": round(self.worker_utilization, 4),
-            "pruned": self.pruned,
-            "bound hits": self.bound_hits,
-            "batched": self.batched,
-            "batch fallbacks": self.batch_fallbacks,
-        }
+
+def score(evaluator: MakespanEvaluator, batch: Optional[BatchEvaluator],
+          solutions: Sequence[Solution], metrics: EngineMetrics,
+          step: Optional[int] = None
+          ) -> Tuple[List[MakespanResult], Optional[OptimizerTimeout]]:
+    """Score fresh *solutions*: the engine's one scoring routine.
+
+    With *batch*, the solutions go through :meth:`BatchEvaluator.
+    evaluate_batch` in slices of *step* (all at once when None), each
+    slice preceded by a deadline check, and the vector/simulator routing
+    is counted on *metrics*; without, each solution goes through
+    :meth:`MakespanEvaluator.evaluate`.  Returns the results completed
+    before any timeout — aligned with a prefix of *solutions* — and the
+    timeout, so a caller can adopt the finished work before raising."""
+    results: List[MakespanResult] = []
+    try:
+        if batch is None:
+            for solution in solutions:
+                results.append(evaluator.evaluate(solution))
+        else:
+            step = step or max(1, len(solutions))
+            for start in range(0, len(solutions), step):
+                evaluator.check_deadline()
+                scored = batch.evaluate_batch(solutions[start:start + step])
+                exact = sum(batch.exactness_mask)
+                metrics.batched += exact
+                metrics.batch_fallbacks += len(scored) - exact
+                results.extend(scored)
+    except OptimizerTimeout as timeout:
+        return results, timeout
+    return results, None
+
+
+# ---------------------------------------------------------------------------
+# worker side
+
+_WORKER: Dict[str, object] = {}
+
+
+def _init_worker(component, platform, exec_model, segment_cap, modes,
+                 deadline, stage, budget_s, vectorize) -> None:
+    """Pool initializer: build this process's evaluator once.
+
+    Under the fork start method the arguments are inherited by memory
+    copy, so the component's compute closures never need pickling.
+    ``perf_counter`` is CLOCK_MONOTONIC on Linux and therefore
+    comparable across the fork, which keeps the parent's deadline
+    meaningful inside workers."""
+    evaluator = MakespanEvaluator(
+        component, platform, exec_model, segment_cap, modes)
+    if deadline is not None:
+        evaluator.set_deadline(deadline, stage, budget_s)
+    _WORKER["evaluator"] = evaluator
+    _WORKER["batch"] = BatchEvaluator(evaluator) if vectorize else None
+
+
+def _score_task(requests: Sequence[Request]):
+    """Run :func:`score` on one task; ship plain values back.
+
+    Returns ``(outcomes, metrics, timeout)``: one ``(makespan, feasible,
+    reason, spm bytes, transferred bytes)`` tuple per finished solution,
+    the task's busy time and batch routing, and ``(stage, budget_s)``
+    when the deadline fired — :class:`OptimizerTimeout`'s two-argument
+    constructor does not survive pickling across the pool."""
+    started = time.perf_counter()
+    evaluator = _WORKER["evaluator"]
+    solutions = [Solution(evaluator.component, tile_sizes, thread_groups)
+                 for tile_sizes, thread_groups in requests]
+    metrics = EngineMetrics()
+    results, timeout = score(evaluator, _WORKER["batch"], solutions,
+                             metrics, _WORKER_SUBBATCH)
+    metrics.busy_s = time.perf_counter() - started
+    outcomes = [(r.makespan_ns, r.feasible, r.reason, r.spm_bytes_needed,
+                 r.transferred_bytes) for r in results]
+    marker = None if timeout is None else (timeout.stage, timeout.budget_s)
+    return outcomes, metrics, marker
+
+
+# ---------------------------------------------------------------------------
+# parent side
 
 
 def effective_jobs(jobs: Optional[int]) -> int:
@@ -246,30 +223,21 @@ def effective_jobs(jobs: Optional[int]) -> int:
 
 
 class EvaluationEngine:
-    """Fan ``evaluate_params`` probes over a worker pool, deterministically.
+    """Score candidate probes inline or over a worker pool, identically.
 
     The engine wraps an existing :class:`MakespanEvaluator` (sharing its
     memo, persistent cache, deadline, and evaluation counter) so it can
     be dropped into any optimizer without changing its accounting."""
 
     def __init__(self, evaluator: MakespanEvaluator, jobs: int = 1,
-                 stage: str = "engine", vectorize: bool = False):
+                 vectorize: bool = False):
         self.evaluator = evaluator
-        self.requested_jobs = jobs
         self.jobs = effective_jobs(jobs)
-        self.stage = stage
         self.vectorize = vectorize
+        self._metrics = EngineMetrics(jobs=self.jobs)
         self._pool = None
-        self._dispatched = 0
-        self._chunks = 0
-        self._elapsed_s = 0.0
-        self._busy_s = 0.0
-        self._invalid = 0
-        self._pruned = 0
-        self._bound_hits = 0
-        self._batched = 0
-        self._batch_fallbacks = 0
-        self._batch: Optional[BatchEvaluator] = None   # serial vector path
+        self._batch = BatchEvaluator(evaluator) \
+            if vectorize and not self.parallel else None
 
     # -- lifecycle --------------------------------------------------------
 
@@ -327,152 +295,89 @@ class EvaluationEngine:
 
     # -- evaluation -------------------------------------------------------
 
-    def evaluate_params(self, tile_sizes, thread_groups=None
-                        ) -> MakespanResult:
-        """Single-probe passthrough (always inline)."""
-        return self.evaluator.evaluate_params(tile_sizes, thread_groups)
-
-    def evaluate_chunks(self, chunks: Sequence[Sequence[Request]]
-                        ) -> List[List[MakespanResult]]:
-        """Evaluate request chunks; results align with the inputs.
-
-        Chunks are the dispatch granularity — callers group candidates
-        by thread-group assignment so one task carries one assignment's
-        tile-size products.  Cached / invalid / duplicate candidates are
-        resolved in the parent; only genuinely fresh solutions travel to
-        the pool."""
-        started = time.perf_counter()
-        results: List[List[Optional[MakespanResult]]] = [
-            [None] * len(chunk) for chunk in chunks]
-        # (chunk index, request index, solution) per fresh candidate,
-        # deduplicated by solution key across the whole batch.
-        fresh: Dict[tuple, List[Tuple[int, int]]] = {}
-        fresh_solutions: Dict[tuple, Solution] = {}
-
-        for ci, chunk in enumerate(chunks):
-            for ri, (tile_sizes, thread_groups) in enumerate(chunk):
-                try:
-                    solution = Solution(
-                        self.evaluator.component, tile_sizes, thread_groups)
-                except ValueError:
-                    self._invalid += 1
-                    results[ci][ri] = self.evaluator.evaluate_params(
-                        tile_sizes, thread_groups)
-                    continue
-                hit = self.evaluator.peek(solution)
-                if hit is not None:
-                    results[ci][ri] = hit
-                    continue
-                key = solution.key()
-                fresh.setdefault(key, []).append((ci, ri))
-                fresh_solutions.setdefault(key, solution)
-
-        if fresh:
-            self.evaluator.check_deadline()
-            if self.parallel:
-                self._dispatch(fresh, fresh_solutions, results)
-            elif self.vectorize:
-                if self._batch is None:
-                    self._batch = BatchEvaluator(self.evaluator)
-                keys = list(fresh.keys())
-                scored = self._batch.evaluate_batch(
-                    [fresh_solutions[key] for key in keys])
-                for key, result, exact in zip(
-                        keys, scored, self._batch.exactness_mask):
-                    if exact:
-                        self._batched += 1
-                    else:
-                        self._batch_fallbacks += 1
-                    for ci, ri in fresh[key]:
-                        results[ci][ri] = result
-            else:
-                for key, places in fresh.items():
-                    result = self.evaluator.evaluate(fresh_solutions[key])
-                    for ci, ri in places:
-                        results[ci][ri] = result
-
-        self._elapsed_s += time.perf_counter() - started
-        return [list(chunk) for chunk in results]    # type: ignore
-
     def evaluate_many(self, requests: Sequence[Request]
                       ) -> List[MakespanResult]:
-        """Flat-list convenience: split fresh work across the pool."""
-        if not self.parallel or len(requests) <= 1:
-            return self.evaluate_chunks([list(requests)])[0]
-        # Round-robin into one chunk per worker keeps chunks balanced
-        # when the caller has no natural grouping.
-        buckets: List[List[Request]] = [[] for _ in range(self.jobs)]
-        order: List[Tuple[int, int]] = []
-        for index, request in enumerate(requests):
-            bucket = index % self.jobs
-            order.append((bucket, len(buckets[bucket])))
-            buckets[bucket].append(request)
-        chunked = self.evaluate_chunks(buckets)
-        return [chunked[b][i] for b, i in order]
+        """Evaluate *requests*; results align with the input.
 
-    def _dispatch(self, fresh: Dict[tuple, List[Tuple[int, int]]],
-                  solutions: Dict[tuple, Solution],
-                  results: List[List[Optional[MakespanResult]]]) -> None:
+        Invalid, cached and duplicate requests are resolved here; only
+        genuinely fresh solutions are scored.  A timeout raises
+        :class:`OptimizerTimeout` after every outcome finished before
+        the deadline has been adopted."""
+        started = time.perf_counter()
+        evaluator = self.evaluator
+        results: List[Optional[MakespanResult]] = [None] * len(requests)
+        fresh: Dict[tuple, List[int]] = {}
+        solutions: List[Solution] = []
+        for index, (tile_sizes, thread_groups) in enumerate(requests):
+            try:
+                solution = Solution(
+                    evaluator.component, tile_sizes, thread_groups)
+            except ValueError:
+                self._metrics.invalid += 1
+                results[index] = evaluator.evaluate_params(
+                    tile_sizes, thread_groups)
+                continue
+            hit = evaluator.peek(solution)
+            if hit is not None:
+                results[index] = hit
+                continue
+            places = fresh.setdefault(solution.key(), [])
+            if not places:
+                solutions.append(solution)
+            places.append(index)
+
+        if solutions:
+            evaluator.check_deadline()
+            if self.parallel:
+                scored, timeout = self._dispatch(solutions)
+            else:
+                scored, timeout = score(evaluator, self._batch, solutions,
+                                        self._metrics)
+            for solution, result in zip(solutions, scored):
+                if result is not None:
+                    for index in fresh[solution.key()]:
+                        results[index] = result
+            if timeout is not None:
+                raise timeout
+        self._metrics.elapsed_s += time.perf_counter() - started
+        return results                                   # type: ignore
+
+    def _dispatch(self, solutions: List[Solution]
+                  ) -> Tuple[List[Optional[MakespanResult]],
+                             Optional[OptimizerTimeout]]:
+        """Score *solutions* on the pool; results align with the input,
+        None where a worker timed out first."""
         pool = self._ensure_pool()
-        keys = list(fresh.keys())
         # A few chunks per worker: big enough to amortize task overhead,
         # small enough that an uneven assignment cannot starve the pool.
-        chunk_count = min(len(keys), self.jobs * 4)
-        task_keys: List[List[tuple]] = [[] for _ in range(chunk_count)]
-        for index, key in enumerate(keys):
-            task_keys[index % chunk_count].append(key)
-        tasks = [
-            [(solutions[key].tile_sizes, solutions[key].thread_groups)
-             for key in group]
-            for group in task_keys
-        ]
-        self._dispatched += len(keys)
-        self._chunks += len(tasks)
-        timeout: Optional[Tuple[str, float]] = None
-        for group, reply in zip(task_keys, pool.imap(_eval_chunk, tasks)):
-            self._busy_s += reply["busy_s"]
-            self._batched += reply.get("batched", 0)
-            self._batch_fallbacks += reply.get("batch_fallbacks", 0)
-            for key, outcome in zip(group, reply["outcomes"]):
-                makespan_ns, feasible, reason, spm, transferred = outcome
-                result = self.evaluator.record_remote(
-                    solutions[key], makespan_ns, feasible, reason,
-                    spm_bytes=spm, transferred_bytes=transferred)
-                for ci, ri in fresh[key]:
-                    results[ci][ri] = result
-            if reply["timeout"] is not None and timeout is None:
-                timeout = reply["timeout"]
-        if timeout is not None:
-            raise OptimizerTimeout(*timeout)
+        count = min(len(solutions), self.jobs * 4)
+        groups = [range(start, len(solutions), count)
+                  for start in range(count)]
+        tasks = [[(solutions[i].tile_sizes, solutions[i].thread_groups)
+                  for i in group] for group in groups]
+        self._metrics.dispatched += len(solutions)
+        self._metrics.chunks += count
+        results: List[Optional[MakespanResult]] = [None] * len(solutions)
+        timeout: Optional[OptimizerTimeout] = None
+        for group, (outcomes, metrics, marker) in zip(
+                groups, pool.imap(_score_task, tasks)):
+            self._metrics += metrics
+            for index, outcome in zip(group, outcomes):
+                results[index] = self.evaluator.record(
+                    solutions[index], *outcome)
+            if marker is not None and timeout is None:
+                timeout = OptimizerTimeout(*marker)
+        return results, timeout
 
     # -- walk accounting ---------------------------------------------------
 
     def note_pruned(self, count: int = 1) -> None:
         """Account candidates the caller discarded on an admissible bound."""
-        self._pruned += count
+        self._metrics.pruned += count
 
     def note_bound_hit(self, count: int = 1) -> None:
         """Account pruned candidates the persistent cache already knew."""
-        self._bound_hits += count
-
-    # -- reduction --------------------------------------------------------
-
-    @staticmethod
-    def best_of(results: Iterable[Optional[MakespanResult]]
-                ) -> Optional[MakespanResult]:
-        """Deterministic winner: min ``(makespan, solution key)``.
-
-        Independent of evaluation order, so serial and parallel runs —
-        and re-runs against a warm cache — agree on ties."""
-        best: Optional[MakespanResult] = None
-        best_rank: Optional[tuple] = None
-        for result in results:
-            if result is None or not result.feasible:
-                continue
-            rank = (result.makespan_ns, result.solution.key())
-            if best_rank is None or rank < best_rank:
-                best, best_rank = result, rank
-        return best
+        self._metrics.bound_hits += count
 
     def finalize(self, result: Optional[MakespanResult]
                  ) -> Optional[MakespanResult]:
@@ -487,18 +392,8 @@ class EvaluationEngine:
     # -- metrics ----------------------------------------------------------
 
     def metrics(self) -> EngineMetrics:
-        return EngineMetrics(
-            jobs=self.jobs,
-            evaluations=self.evaluator.evaluations,
-            memo_hits=self.evaluator.memo_hits,
-            cache_hits=self.evaluator.cache_hits,
-            invalid=self._invalid,
-            dispatched=self._dispatched,
-            chunks=self._chunks,
-            elapsed_s=self._elapsed_s,
-            busy_s=self._busy_s,
-            pruned=self._pruned,
-            bound_hits=self._bound_hits,
-            batched=self._batched,
-            batch_fallbacks=self._batch_fallbacks,
-        )
+        """The engine's record with its evaluator's probe counters."""
+        evaluator = self.evaluator
+        return replace(self._metrics, evaluations=evaluator.evaluations,
+                       memo_hits=evaluator.memo_hits,
+                       cache_hits=evaluator.cache_hits)

@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import OptimizerError
 from ..loopir.component import TilableComponent
@@ -31,7 +31,7 @@ from ..timing.execmodel import ExecModel
 from ..timing.platform import Platform
 from .cache import PersistentCache
 from .component import ComponentOptResult
-from .engine import EngineMetrics, EvaluationEngine
+from .engine import EvaluationEngine
 from .threadgroups import generate_nondominated_thread_groups
 from .tilesizes import select_tile_sizes
 
@@ -74,13 +74,30 @@ def assignment_candidates(component: TilableComponent,
     return groups, candidate_lists
 
 
+def best_of(results: Iterable[Optional[MakespanResult]]
+            ) -> Optional[MakespanResult]:
+    """Deterministic winner: min ``(makespan, solution key)``.
+
+    Independent of evaluation order, so serial and parallel runs — and
+    re-runs against a warm cache — agree on ties."""
+    best: Optional[MakespanResult] = None
+    best_rank: Optional[tuple] = None
+    for result in results:
+        if result is None or not result.feasible:
+            continue
+        rank = (result.makespan_ns, result.solution.key())
+        if best_rank is None or rank < best_rank:
+            best, best_rank = result, rank
+    return best
+
+
 class ExhaustiveOptimizer:
     """Evaluate every candidate point and return the true optimum.
 
     With ``jobs > 1`` candidate evaluation fans out over the
-    :class:`~repro.opt.engine.EvaluationEngine` worker pool, chunked by
-    thread-group assignment; the reduction tie-breaks on the solution
-    key, so serial and parallel runs return identical results."""
+    :class:`~repro.opt.engine.EvaluationEngine` worker pool; the
+    reduction (:func:`best_of`) tie-breaks on the solution key, so
+    serial and parallel runs return identical results."""
 
     def __init__(self, component: TilableComponent, platform: Platform,
                  exec_model: ExecModel,
@@ -103,7 +120,6 @@ class ExhaustiveOptimizer:
             component, platform, exec_model, segment_cap, cache=cache)
         if deadline is not None:
             self.evaluator.set_deadline(deadline, "exhaustive", budget_s)
-        self.metrics: Optional[EngineMetrics] = None
 
     def optimize(self, cores: Optional[int] = None) -> ComponentOptResult:
         cores = cores if cores is not None else self.platform.cores
@@ -118,32 +134,24 @@ class ExhaustiveOptimizer:
                 f"{size} candidate points exceed the budget of "
                 f"{self.max_points}; use the heuristic (Algorithm 1)")
 
-        chunks = []
+        requests = []
         for assignment in assignments:
             groups, candidate_lists = assignment_candidates(
                 self.component, assignment)
-            chunks.append([
+            requests.extend(
                 ({node.var: k
                   for node, k in zip(self.component.nodes, sizes)}, groups)
-                for sizes in product(*candidate_lists)
-            ])
+                for sizes in product(*candidate_lists))
 
         with EvaluationEngine(self.evaluator, jobs=self.jobs,
-                              stage="exhaustive",
                               vectorize=self.vectorize) as engine:
-            evaluated = engine.evaluate_chunks(chunks)
-            best: Optional[MakespanResult] = engine.best_of(
-                result for chunk in evaluated for result in chunk)
-            best = engine.finalize(best)
-            self.metrics = engine.metrics()
+            best = engine.finalize(best_of(engine.evaluate_many(requests)))
+            metrics = engine.metrics()
         return ComponentOptResult(
             component=self.component,
             best=best,
-            evaluations=self.evaluator.evaluations,
             elapsed_s=time.perf_counter() - started,
             assignments_tried=len(assignments),
-            cache_hits=self.evaluator.cache_hits,
-            batched=self.metrics.batched,
-            batch_fallbacks=self.metrics.batch_fallbacks,
+            metrics=metrics,
             exec_model=self.exec_model,
         )

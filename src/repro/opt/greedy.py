@@ -26,6 +26,7 @@ from ..timing.platform import Platform
 from .bounds import BoundCalculator
 from .cache import PersistentCache
 from .component import ComponentOptResult
+from .engine import EngineMetrics
 from .tilesizes import select_tile_sizes
 
 
@@ -68,14 +69,17 @@ class GreedyOptimizer:
                 best = result
                 break
 
+        evaluator = self.evaluator
         return ComponentOptResult(
             component=self.component,
             best=best,
-            evaluations=self.evaluator.evaluations,
             elapsed_s=time.perf_counter() - started,
             assignments_tried=1,
-            cache_hits=self.evaluator.cache_hits,
-            pruned=self._pruned,
+            metrics=EngineMetrics(
+                evaluations=evaluator.evaluations,
+                memo_hits=evaluator.memo_hits,
+                cache_hits=evaluator.cache_hits,
+                pruned=self._pruned),
             exec_model=self.exec_model,
         )
 

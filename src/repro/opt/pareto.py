@@ -66,7 +66,7 @@ from ..timing.platform import Platform
 from .bounds import BoundCalculator
 from .cache import PersistentCache
 from .component import ComponentOptResult
-from .engine import EngineMetrics, EvaluationEngine
+from .engine import EvaluationEngine
 from .pruned import DEFAULT_PRUNED_MAX_POINTS
 from .solution import Solution
 from .walk import (
@@ -352,7 +352,6 @@ class ParetoOptimizer:
             component, platform, exec_model, segment_cap,
             modes=self.evaluator.planner.modes,
             geometry=self.evaluator.geometry)
-        self.metrics: Optional[EngineMetrics] = None
 
     def optimize(self, cores: Optional[int] = None) -> ParetoComponentResult:
         cores = cores if cores is not None else self.platform.cores
@@ -363,7 +362,6 @@ class ParetoOptimizer:
             shard_of=self.shard_of)
         archive = DominanceArchive(self.prune)
         with EvaluationEngine(self.evaluator, jobs=self.jobs,
-                              stage="pareto",
                               vectorize=self.vectorize) as engine:
             scored = walk(space, engine, archive, BATCH_WINDOWS)
             front = pareto_front(archive.achieved)
@@ -371,21 +369,16 @@ class ParetoOptimizer:
             if front:
                 top = min(front, key=lambda p: (p.makespan_ns, p.flat))
                 best = engine.finalize(top.result)
-            self.metrics = engine.metrics()
+            metrics = engine.metrics()
         scalarized = tuple(
             scalarize(front, archive.achieved, weights)
             for weights in self.weights) if front else ()
         return ParetoComponentResult(
             component=self.component,
             best=best,
-            evaluations=self.evaluator.evaluations,
             elapsed_s=time.perf_counter() - started,
             assignments_tried=len(space.assignments),
-            cache_hits=self.evaluator.cache_hits,
-            pruned=self.metrics.pruned,
-            bound_hits=self.metrics.bound_hits,
-            batched=self.metrics.batched,
-            batch_fallbacks=self.metrics.batch_fallbacks,
+            metrics=metrics,
             exec_model=self.exec_model,
             front=front,
             scalarized=scalarized,

@@ -44,7 +44,7 @@ from ..timing.platform import Platform
 from .bounds import BoundCalculator
 from .cache import PersistentCache
 from .component import ComponentOptResult
-from .engine import EngineMetrics, EvaluationEngine
+from .engine import EvaluationEngine
 from .walk import (
     BATCH_WINDOWS,
     SERIAL_WINDOWS,
@@ -103,7 +103,6 @@ class PrunedOptimizer:
             component, platform, exec_model, segment_cap,
             modes=self.evaluator.planner.modes,
             geometry=self.evaluator.geometry)
-        self.metrics: Optional[EngineMetrics] = None
 
     def optimize(self, cores: Optional[int] = None) -> ComponentOptResult:
         cores = cores if cores is not None else self.platform.cores
@@ -118,21 +117,15 @@ class PrunedOptimizer:
             else SERIAL_WINDOWS
         incumbent = ScalarIncumbent(self.incumbent)
         with EvaluationEngine(self.evaluator, jobs=self.jobs,
-                              stage="pruned",
                               vectorize=self.vectorize) as engine:
             walk(space, engine, incumbent, windows)
             best = engine.finalize(incumbent.best)
-            self.metrics = engine.metrics()
+            metrics = engine.metrics()
         return ComponentOptResult(
             component=self.component,
             best=best,
-            evaluations=self.evaluator.evaluations,
             elapsed_s=time.perf_counter() - started,
             assignments_tried=len(space.assignments),
-            cache_hits=self.evaluator.cache_hits,
-            pruned=self.metrics.pruned,
-            bound_hits=self.metrics.bound_hits,
-            batched=self.metrics.batched,
-            batch_fallbacks=self.metrics.batch_fallbacks,
+            metrics=metrics,
             exec_model=self.exec_model,
         )

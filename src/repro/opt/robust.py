@@ -229,9 +229,9 @@ class RobustOptimizer:
             jobs=jobs, cache=cache, vectorize=vectorize,
             shard_of=shard_of)
         self._scenario_evaluators: List[MakespanEvaluator] = []
-        self.metrics: Optional[EngineMetrics] = None
-        self._engine_metrics: List[EngineMetrics] = []
-        self._pruned = 0
+        #: Phases B and C's counters: screening prunes plus one engine
+        #: record per scenario evaluator.
+        self._metrics = EngineMetrics()
         self._probes = 0
 
     @property
@@ -271,9 +271,8 @@ class RobustOptimizer:
                  ) -> RobustComponentResult:
         cores = cores if cores is not None else self.platform.cores
         started = time.perf_counter()
-        self._pruned = 0
+        self._metrics = EngineMetrics()
         self._probes = 0
-        self._engine_metrics = []
         self._scenario_evaluators = []
         nominal = self._nominal_search.optimize(cores)
 
@@ -346,7 +345,7 @@ class RobustOptimizer:
         space = CandidateSpace(
             self.component, bounds, cores, self.max_points, "robust",
             check, vectorize=self.vectorize, shard_of=self.shard_of)
-        self._pruned += space.enum_pruned
+        self._metrics.pruned += space.enum_pruned
         candidates = space.candidates
 
         finalists: Dict[Tuple[int, ...], Tuple[float, Solution]] = {}
@@ -357,11 +356,11 @@ class RobustOptimizer:
             if (bound, flat) >= incumbent_rank:
                 # Sorted tail: everything from here on is at or past the
                 # incumbent's (risk, key) rank too.
-                self._pruned += len(candidates) - pos
+                self._metrics.pruned += len(candidates) - pos
                 break
             refined = space.refine(candidate)
             if math.isinf(refined) or (refined, flat) >= incumbent_rank:
-                self._pruned += 1
+                self._metrics.pruned += 1
                 continue
             finalists[flat] = (refined, space.solution(pos))
         return finalists
@@ -388,18 +387,18 @@ class RobustOptimizer:
             flat: [] for flat, _, _ in alive}
 
         for index, evaluator in enumerate(self._scenario_evaluators):
-            if not alive:
-                break
             # Scenario-major: the whole surviving cohort is scored as
             # one engine call (one tensor program when vectorized)
-            # through the scenario's own evaluator.
+            # through the scenario's own evaluator.  Every scenario
+            # evaluator runs exactly one engine, after its only other
+            # use (the nominal winner's values), so summing the engine
+            # records counts each evaluator's work once.
             with EvaluationEngine(evaluator, jobs=self.jobs,
-                                  stage="robust",
                                   vectorize=self.vectorize) as engine:
                 results = engine.evaluate_many([
                     (solution.tile_sizes, solution.thread_groups)
                     for _, _, solution in alive])
-                self._engine_metrics.append(engine.metrics())
+                self._metrics += engine.metrics()
             self._probes += len(alive)
             survivors = []
             remaining = count - index - 1
@@ -408,7 +407,7 @@ class RobustOptimizer:
                 values.append(result.makespan_ns)
                 floor = self._risk(values + [bound] * remaining)
                 if (floor, flat) >= incumbent_rank:
-                    self._pruned += 1
+                    self._metrics.pruned += 1
                     continue
                 survivors.append((flat, bound, solution))
             alive = survivors
@@ -446,38 +445,6 @@ class RobustOptimizer:
 
     # -- assembly ----------------------------------------------------------
 
-    def _merged_metrics(self) -> Optional[EngineMetrics]:
-        """Counter-summing aggregate over every engine this search ran.
-
-        Phase A's engine metrics, each phase-C scenario engine's
-        dispatch/timing/batch counters, and the screening prunes are
-        *summed* (never last-writer-wins), so ``reporting.engine_note``
-        of a robust run reports all the work done.  Scenario-evaluator probe counters are taken from
-        the evaluators themselves — each engine snapshot would
-        otherwise re-count its evaluator's cumulative totals."""
-        metrics = self._nominal_search.metrics
-        if metrics is None:
-            return None
-        extra = EngineMetrics(
-            jobs=metrics.jobs,
-            evaluations=sum(
-                e.evaluations for e in self._scenario_evaluators),
-            memo_hits=sum(
-                e.memo_hits for e in self._scenario_evaluators),
-            cache_hits=sum(
-                e.cache_hits for e in self._scenario_evaluators),
-            pruned=self._pruned,
-        )
-        for snapshot in self._engine_metrics:
-            extra.jobs = max(extra.jobs, snapshot.jobs)
-            extra.dispatched += snapshot.dispatched
-            extra.chunks += snapshot.chunks
-            extra.elapsed_s += snapshot.elapsed_s
-            extra.busy_s += snapshot.busy_s
-            extra.batched += snapshot.batched
-            extra.batch_fallbacks += snapshot.batch_fallbacks
-        return metrics.merge(extra)
-
     def _wrap(self, nominal: ComponentOptResult, started: float,
               robust: Optional[CandidateRisk],
               nominal_risk: Optional[CandidateRisk],
@@ -493,22 +460,12 @@ class RobustOptimizer:
             best = evaluator.evaluate(robust.solution)
             if not best.from_cache and best.plan is None:
                 best = evaluator.attach_plan(best)
-        evaluations = nominal.evaluations + sum(
-            e.evaluations for e in self._scenario_evaluators)
-        cache_hits = nominal.cache_hits + sum(
-            e.cache_hits for e in self._scenario_evaluators)
-        self.metrics = self._merged_metrics()
         return RobustComponentResult(
             component=self.component,
             best=best,
-            evaluations=evaluations,
             elapsed_s=time.perf_counter() - started,
             assignments_tried=nominal.assignments_tried,
-            cache_hits=cache_hits,
-            pruned=nominal.pruned + self._pruned,
-            bound_hits=nominal.bound_hits,
-            batched=self.metrics.batched,
-            batch_fallbacks=self.metrics.batch_fallbacks,
+            metrics=nominal.metrics + self._metrics,
             exec_model=self.exec_model,
             risk=self.risk,
             alpha=self.alpha,

@@ -46,14 +46,11 @@ try:
 except ImportError:                          # pragma: no cover - non-POSIX
     fcntl = None
 
-#: Coordination log (claims, completions, winners) inside the cache dir.
+#: Coordination log (space, done and winner records) inside the cache dir.
 SHARD_LOG_FILENAME = "shard-coord.jsonl"
 
 #: Sibling lockfile serialising read-decide-append transactions.
 SHARD_LOCK_FILENAME = "shard-coord.lock"
-
-#: A claim this old with no matching done record counts as stale.
-DEFAULT_STALE_S = 600.0
 
 #: A feasible ``(makespan, flat key)`` rank.
 Rank = Tuple[float, Tuple[int, ...]]
@@ -184,16 +181,13 @@ class ShardLog:
 
 @dataclass
 class SpaceStatus:
-    """Claim/progress snapshot of one candidate space."""
+    """Progress snapshot of one sharded candidate space."""
 
     space: str
     component: str = ""
-    chunks: int = 0
+    chunks: int = 0               # shards the space was split into
     candidates: int = 0
-    done: int = 0
-    claimed: int = 0          # live claims (not done, not stale)
-    stale: int = 0            # reclaimable claims
-    claims: int = 0           # claim records appended in total
+    done: int = 0                 # shards that published a done record
     workers: Tuple[str, ...] = ()
     winner: Optional[Rank] = None
 
@@ -203,37 +197,25 @@ class SpaceStatus:
 
     def describe(self) -> str:
         parts = [f"{self.done}/{self.chunks} chunks done"]
-        if self.claimed:
-            parts.append(f"{self.claimed} in flight")
-        if self.stale:
-            parts.append(f"{self.stale} stale")
         if self.winner is not None:
             parts.append(f"best {self.winner[0]:,.0f} ns")
         return ", ".join(parts)
 
 
-def space_statuses(log: ShardLog,
-                   stale_s: float = DEFAULT_STALE_S
-                   ) -> Dict[str, SpaceStatus]:
-    """Per-space claim/progress summary of one coordination log."""
+def space_statuses(log: ShardLog) -> Dict[str, SpaceStatus]:
+    """Per-space progress summary of one coordination log."""
     statuses: Dict[str, SpaceStatus] = {}
-    claims: Dict[str, Dict[str, float]] = {}
     done: Dict[str, set] = {}
     workers: Dict[str, set] = {}
-
-    def entry(space: str) -> SpaceStatus:
-        if space not in statuses:
-            statuses[space] = SpaceStatus(space=space)
-            claims[space] = {}
-            done[space] = set()
-            workers[space] = set()
-        return statuses[space]
-
     for record in log.records():
         space = record.get("s")
         if not isinstance(space, str):
             continue
-        status = entry(space)
+        if space not in statuses:
+            statuses[space] = SpaceStatus(space=space)
+            done[space] = set()
+            workers[space] = set()
+        status = statuses[space]
         kind = record.get("t")
         worker = record.get("w")
         if isinstance(worker, str) and worker:
@@ -244,26 +226,12 @@ def space_statuses(log: ShardLog,
                 record.get("candidates", status.candidates))
             status.component = str(
                 record.get("component", status.component))
-        elif kind == "claim":
-            status.claims += 1
-            claims[space][record.get("c")] = float(record.get("ts", 0.0))
         elif kind == "done":
             done[space].add(record.get("c"))
         elif kind == "winner":
             status.winner = merge_ranks(status.winner, _rank_of(record))
-    now = time.time()
     for space, status in statuses.items():
         status.done = len(done[space])
-        live = stale = 0
-        for chunk_id, ts in claims[space].items():
-            if chunk_id in done[space]:
-                continue
-            if now - ts < stale_s:
-                live += 1
-            else:
-                stale += 1
-        status.claimed = live
-        status.stale = stale
         status.workers = tuple(sorted(workers[space]))
     return statuses
 
@@ -272,12 +240,11 @@ class StaticShardExchange:
     """Coordination-log adapter for static ``shard_of`` compile workers.
 
     A ``compile --shard I/N`` worker partitions by slicing the sorted
-    candidate list (no chunk claims), but it still shares the log:
-    :meth:`seed` reads the best incumbent any sibling shard of the same
-    component (and the same shard count) has published, and
-    :meth:`publish` appends the shard's claim/done progress records —
-    so ``shard status`` sees static compiles too — plus a winner
-    record when this shard found a feasible best."""
+    candidate list, and shares the log with its siblings: :meth:`seed`
+    reads the best incumbent any sibling shard of the same component
+    (and the same shard count) has published, and :meth:`publish`
+    appends the shard's done record — what ``shard status`` counts —
+    plus a winner record when this shard found a feasible best."""
 
     def __init__(self, directory: os.PathLike, context_hash: str,
                  shards: Tuple[int, int]):
@@ -300,16 +267,11 @@ class StaticShardExchange:
                     "chunks": self.count, "candidates": 0,
                     "component": component.label(), "ts": time.time(),
                 })
-            now = time.time()
-            self.log.append({
-                "t": "claim", "s": self.space, "c": chunk_id,
-                "i": self.index, "w": self.worker, "ts": now,
-            })
             self.log.append({
                 "t": "done", "s": self.space, "c": chunk_id,
                 "i": self.index, "w": self.worker,
                 "scored": result.evaluations, "pruned": result.pruned,
-                "elapsed_s": round(result.elapsed_s, 6), "ts": now,
+                "elapsed_s": round(result.elapsed_s, 6), "ts": time.time(),
             })
         if winner and result.best is not None and result.best.feasible:
             self.log.publish_winner(

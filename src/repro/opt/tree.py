@@ -119,16 +119,11 @@ class TreeOptimizer:
 
     def optimize(self, platform: Platform,
                  cores: Optional[int] = None,
-                 optimize_fn: OptimizeFn | None = None,
-                 jobs: int = 1, cache=None) -> TreeOptResult:
-        """Run Algorithm 2.
-
-        *jobs*/*cache* configure the default per-component optimizer's
-        evaluation engine (worker pool fan-out and persistent makespan
-        cache); custom *optimize_fn* callbacks configure their own."""
+                 optimize_fn: OptimizeFn | None = None) -> TreeOptResult:
+        """Run Algorithm 2; *optimize_fn* defaults to the serial,
+        uncached heuristic (Algorithm 1) on every component."""
         cores = cores if cores is not None else platform.cores
         started = time.perf_counter()
-        evaluations = 0
         self._platform = platform
         self._cores = cores
         self._chains_pruned = 0
@@ -137,8 +132,7 @@ class TreeOptimizer:
                 optimizer = ComponentOptimizer(
                     component, platform, exec_model,
                     max_iter=self.max_iter, seed=self.seed,
-                    segment_cap=self.segment_cap,
-                    jobs=jobs, cache=cache)
+                    segment_cap=self.segment_cap)
                 return optimizer.optimize(cores)
 
         total = 0.0
@@ -147,13 +141,12 @@ class TreeOptimizer:
             makespan, chosen = self._extract(root, [], optimize_fn)
             total += makespan
             choices.extend(chosen)
-        evaluations = sum(c.result.evaluations for c in choices)
         return TreeOptResult(
             tree=self.tree,
             makespan_ns=total,
             choices=choices,
             elapsed_s=time.perf_counter() - started,
-            evaluations=evaluations,
+            evaluations=sum(c.result.evaluations for c in choices),
             cache_hits=sum(c.result.cache_hits for c in choices),
             pruned=sum(c.result.pruned for c in choices),
             bound_hits=sum(c.result.bound_hits for c in choices),

@@ -29,9 +29,11 @@ overlap legality) are decided exactly via
 Anything else — in practice only absurdly segment-heavy candidates under
 a tiny budget — falls back to the event-driven simulator.  The per-call
 ``exactness_mask`` records the routing and ``fallbacks`` counts it;
-fallbacks are never silent.
+fallbacks are never silent.  The searches reach this module through
+:func:`repro.opt.engine.score`, which counts the routing on the
+search's ``EngineMetrics`` record, inline or in a pool worker alike.
 
-Results are adopted through :meth:`MakespanEvaluator.record_local`, so
+Results are adopted through :meth:`MakespanEvaluator.record`, so
 memo, persistent cache and the ``evaluations`` counter behave exactly
 as if the serial loop had run: warm re-runs still perform zero fresh
 evaluations and cold/warm searches see identical incumbent histories.
@@ -225,7 +227,7 @@ class BatchEvaluator:
             except PlanError as error:
                 self.scored += 1
                 self.infeasible += 1
-                self._place(results, fresh, key, evaluator.record_local(
+                self._place(results, fresh, key, evaluator.record(
                     solution, math.inf, False, str(error)))
                 continue
             cells = solution.threads * (segs + 2)
@@ -257,7 +259,7 @@ class BatchEvaluator:
                 for (key, solution, _plans, spm, _s, _c), ms, xfer in zip(
                         chunk, makespans, transferred):
                     self.scored += 1
-                    self._place(results, fresh, key, evaluator.record_local(
+                    self._place(results, fresh, key, evaluator.record(
                         solution, float(ms), True,
                         spm_bytes=spm, transferred_bytes=int(xfer)))
                 pos = end

@@ -148,8 +148,10 @@ class CandidateSpace:
     With ``shard_of=(i, n)`` only every n-th candidate of the globally
     sorted list is kept, starting at i: each slice is itself sorted (the
     tail cut stays valid) and the best bounds spread evenly, so every
-    shard lands a competitive incumbent early.  Dropped candidates
-    belong to other shards; they are not counted as pruned."""
+    shard lands a competitive incumbent early.  Candidates sliced away
+    belong to other shards; they are not counted as pruned, and the
+    infinite-bound enumeration drops are dealt out round-robin too, so
+    the shards' ``enum_pruned`` sum to the unsharded count."""
 
     def __init__(self, component: TilableComponent,
                  bounds: BoundCalculator, cores: int, max_points: int,
@@ -171,6 +173,8 @@ class CandidateSpace:
         if shard_of is not None:
             index, count = shard_of
             self.candidates = self.candidates[index::count]
+            # Each enumeration drop is counted by exactly one shard.
+            self.enum_pruned = len(range(index, self.enum_pruned, count))
         self._vars = [node.var for node in component.nodes]
 
     def solution(self, pos: int) -> Solution:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from .access import Access, Array
 from .affine import AffineExpr
@@ -312,20 +312,6 @@ def concrete_pairs(src: StatementInfo, dst: StatementInfo,
                 if len(pairs) >= limit:
                     return pairs
     return pairs
-
-
-def dependence_graph(dependences: Sequence[Dependence]
-                     ) -> Dict[Tuple[str, str], List[Dependence]]:
-    """Group a ``Dep`` set into a statement graph keyed by (src, dst).
-
-    The source analyzer's fission pass walks this as the edge set of the
-    statement dependence graph; edges keep the analyzer's emission order
-    so verdicts derived from them are deterministic.
-    """
-    graph: Dict[Tuple[str, str], List[Dependence]] = {}
-    for dep in dependences:
-        graph.setdefault((dep.src_stmt, dep.dst_stmt), []).append(dep)
-    return graph
 
 
 def _find_access(info: StatementInfo, dependence: Dependence,

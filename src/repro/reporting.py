@@ -162,13 +162,13 @@ def engine_note(metrics) -> str:
     if metrics.elapsed_s > 0:
         parts.append(f"{metrics.evaluations_per_s:,.0f} evals/s")
     parts.append(f"cache hit rate {metrics.cache_hit_rate:.1%}")
-    if getattr(metrics, "pruned", 0):
+    if metrics.pruned:
         parts.append(f"{metrics.pruned:,} pruned")
-    if getattr(metrics, "bound_hits", 0):
+    if metrics.bound_hits:
         parts.append(f"{metrics.bound_hits:,} bound hits")
-    if getattr(metrics, "batched", 0):
+    if metrics.batched:
         parts.append(f"{metrics.batched:,} batched")
-    if getattr(metrics, "batch_fallbacks", 0):
+    if metrics.batch_fallbacks:
         parts.append(f"{metrics.batch_fallbacks:,} batch fallbacks")
     if metrics.jobs > 1:
         parts.append(

@@ -218,34 +218,16 @@ class MakespanEvaluator:
         self._persist(key, result)
         return result
 
-    def record_remote(self, solution: Solution, makespan_ns: float,
-                      feasible: bool, reason: str = "",
-                      spm_bytes: int = 0,
-                      transferred_bytes: int = 0) -> MakespanResult:
-        """Adopt an outcome computed by a worker process.
+    def record(self, solution: Solution, makespan_ns: float,
+               feasible: bool, reason: str = "", spm_bytes: int = 0,
+               transferred_bytes: int = 0) -> MakespanResult:
+        """Adopt an outcome scored elsewhere — by a worker process or by
+        the in-process batch evaluator.
 
         The result enters the memo and the persistent cache and counts
-        as one evaluation, exactly as if this evaluator had planned it —
-        the engine's determinism guarantee for evaluation counts."""
-        return self._adopt(solution, makespan_ns, feasible, reason,
-                           spm_bytes, transferred_bytes)
-
-    def record_local(self, solution: Solution, makespan_ns: float,
-                     feasible: bool, reason: str = "",
-                     spm_bytes: int = 0,
-                     transferred_bytes: int = 0) -> MakespanResult:
-        """Adopt an outcome computed by the in-process batch evaluator.
-
-        Identical accounting to :meth:`record_remote`: the result enters
-        the memo and the persistent cache and counts as one evaluation,
-        so batched and per-candidate scoring report the same counters."""
-        return self._adopt(solution, makespan_ns, feasible, reason,
-                           spm_bytes, transferred_bytes)
-
-    def _adopt(self, solution: Solution, makespan_ns: float,
-               feasible: bool, reason: str,
-               spm_bytes: int, transferred_bytes: int) -> MakespanResult:
-        key = solution.key()
+        as one evaluation, exactly as if this evaluator had planned it,
+        so pooled, batched and per-candidate scoring report the same
+        counters."""
         result = MakespanResult(
             component=self.component,
             solution=solution,
@@ -256,6 +238,7 @@ class MakespanEvaluator:
             spm_bytes_hint=int(spm_bytes),
         )
         self.evaluations += 1
+        key = solution.key()
         self._cache[key] = result
         self._persist(key, result)
         return result

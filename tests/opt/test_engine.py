@@ -3,7 +3,9 @@
 The load-bearing property is *bit-identical determinism*: for any jobs
 count the optimizers must report the same best solution, the same
 makespan, and the same evaluation count as a serial run.  Everything
-else (metrics, chunking, the timeout path) hangs off that.
+else (metrics, chunking, the timeout path) hangs off that.  The
+exhaustive search's ``best_of`` reduction is tested here too: it is
+what makes the winner independent of worker completion order.
 """
 
 import math
@@ -22,8 +24,10 @@ from repro.loopir.component import component_at
 from repro.opt.cache import PersistentCache
 from repro.opt.component import ComponentOptimizer
 from repro.opt.engine import EvaluationEngine, effective_jobs
-from repro.opt.exhaustive import ExhaustiveOptimizer
+from repro.opt.exhaustive import ExhaustiveOptimizer, best_of
+from repro.opt.pruned import PrunedOptimizer
 from repro.opt.solution import Solution
+from repro.opt.vectorized import BatchEvaluator
 from repro.schedule.makespan import MakespanEvaluator, MakespanResult
 from repro.sim.profiler import fit_component_model
 from repro.timing.platform import Platform
@@ -88,19 +92,18 @@ class TestBestOf:
         low_key = self._result(comp, 100.0, 2)
         high_key = self._result(comp, 100.0, 5)
         # Order of presentation must not matter.
-        assert EvaluationEngine.best_of(
+        assert best_of(
             [high_key, low_key]).solution.key() == low_key.solution.key()
-        assert EvaluationEngine.best_of(
+        assert best_of(
             [low_key, high_key]).solution.key() == low_key.solution.key()
 
     def test_skips_none_and_infeasible(self, b0):
         comp, _ = b0
         winner = self._result(comp, 50.0, 3)
         loser = self._result(comp, math.inf, 2, feasible=False)
-        assert EvaluationEngine.best_of(
-            [None, loser, winner]) is winner
-        assert EvaluationEngine.best_of([None, loser]) is None
-        assert EvaluationEngine.best_of([]) is None
+        assert best_of([None, loser, winner]) is winner
+        assert best_of([None, loser]) is None
+        assert best_of([]) is None
 
 
 class TestSerialEngine:
@@ -119,8 +122,8 @@ class TestSerialEngine:
         comp, model = b0
         evaluator = MakespanEvaluator(comp, Platform(), model)
         with EvaluationEngine(evaluator, jobs=1) as engine:
-            chunk = [({"b_0": 5}, {"b_0": 1})] * 4
-            results = engine.evaluate_chunks([chunk])[0]
+            requests = [({"b_0": 5}, {"b_0": 1})] * 4
+            results = engine.evaluate_many(requests)
         assert evaluator.evaluations == 1
         assert all(r.makespan_ns == results[0].makespan_ns
                    for r in results)
@@ -130,8 +133,7 @@ class TestSerialEngine:
         n = comp.nodes[0].N
         evaluator = MakespanEvaluator(comp, Platform(), model)
         with EvaluationEngine(evaluator, jobs=1) as engine:
-            result = engine.evaluate_chunks(
-                [[({"b_0": n + 1}, {"b_0": 1})]])[0][0]
+            [result] = engine.evaluate_many([({"b_0": n + 1}, {"b_0": 1})])
         assert not result.feasible
         assert evaluator.evaluations == 1
         assert engine.metrics().invalid == 1
@@ -175,7 +177,6 @@ class TestParallelEngine:
         assert metrics.evaluations == 4
         assert metrics.probes == 4
         assert 0.0 <= metrics.worker_utilization <= 1.0
-        assert metrics.as_dict()["evaluations"] == 4
 
     def test_timeout_crosses_pool_boundary(self, b0):
         comp, model = b0
@@ -252,6 +253,30 @@ class TestOptimizerParity:
             parallel = ComponentOptimizer(
                 comp, Platform(), model, jobs=4).optimize(8)
         assert serial.evaluations == parallel.evaluations
+        assert serial.makespan_ns == parallel.makespan_ns
+        assert serial.best.solution.key() == parallel.best.solution.key()
+
+    @pytest.mark.parametrize("search",
+                             [ExhaustiveOptimizer, PrunedOptimizer])
+    def test_batch_routing_parity(self, two_level, search):
+        """Pool workers and the inline engine route the same candidates
+        to the vector model and to the simulator."""
+        comp, model = two_level
+        # A small cell budget forces some simulator fallbacks, so both
+        # counters carry information.
+        small_budget = mock.patch.object(
+            BatchEvaluator.__init__, "__defaults__", (64,))
+        runs = []
+        for jobs in (1, 2):
+            with eight_cpus(), small_budget:
+                runs.append(search(comp, Platform(), model, jobs=jobs,
+                                   vectorize=True).optimize(8))
+        serial, parallel = runs
+        assert serial.batched > 0 and serial.batch_fallbacks > 0
+        assert parallel.batched == serial.batched
+        assert parallel.batch_fallbacks == serial.batch_fallbacks
+        assert parallel.evaluations == serial.evaluations
+        assert parallel.metrics.dispatched > 0
         assert serial.makespan_ns == parallel.makespan_ns
         assert serial.best.solution.key() == parallel.best.solution.key()
 

@@ -6,8 +6,8 @@ any set of shard workers, run one after another or concurrently, leaves
 the shared cache in a state whose warm unsharded pruned reduce is the
 *bit-identical* winner of the serial `PrunedOptimizer` — same makespan,
 same solution key — with zero fresh evaluations once every shard ran.
-The coordination log records one claim/done pair per shard, which is
-what ``shard status`` reports, and a shard that never ran is simply
+Each shard appends one done record to the coordination log, which is
+what ``shard status`` counts, and a shard that never ran is simply
 re-scored by the reduce.
 """
 
@@ -20,6 +20,7 @@ from repro.loopir import LoopTree
 from repro.loopir.component import component_at
 from repro.opt.cache import PersistentCache
 from repro.opt.engine import EngineMetrics
+from repro.opt.exhaustive import search_space_size
 from repro.opt.pareto import ParetoOptimizer, pareto_front
 from repro.opt.pruned import PrunedOptimizer
 from repro.opt.robust import RobustOptimizer
@@ -136,28 +137,48 @@ class TestPartition:
         assert len(ids) == 2
 
 
-class TestClaims:
-    def test_each_chunk_claimed_exactly_once(self, rnn_small, tmp_path):
-        for index in range(3):
-            _shard(rnn_small, tmp_path, index, 3)
-        status = _status(rnn_small, tmp_path, 3)
-        records = ShardLog(tmp_path).records(status.space)
-        claims = sorted(r["i"] for r in records if r.get("t") == "claim")
-        assert claims == [0, 1, 2]
-        assert status.claims == 3 and status.done == 3
-
-    def test_two_claimers_alternate_disjointly(self, rnn_small):
+    def test_two_shards_alternate_disjointly(self, rnn_small):
         full = _flats(_space(rnn_small))
         first = _flats(_space(rnn_small, (0, 2)))
         second = _flats(_space(rnn_small, (1, 2)))
         assert not set(first) & set(second)
         assert first == full[0::2] and second == full[1::2]
 
+    def test_shard_counts_sum_to_space_size(self):
+        """Cold, per-candidate shard walks account for every point of
+        the space exactly once: scored, or pruned — including the
+        infinite-bound enumeration drops, each counted by one shard."""
+        comp, model = _component("cnn", "SMALL", ["n", "k", "p", "q", "c"])
+        platform = Platform(spm_bytes=512).with_bus(1e9)
+        total = 0
+        for index in range(3):
+            result = PrunedOptimizer(
+                comp, platform, model, vectorize=False,
+                shard_of=(index, 3)).optimize()
+            total += result.evaluations + result.pruned
+        size = search_space_size(comp, platform.cores)
+        assert total == size
+        space = CandidateSpace(
+            comp, PrunedOptimizer(comp, platform, model).bounds,
+            platform.cores, 10**6, "test", lambda: None)
+        assert space.size == size and space.enum_pruned > 0
+
+
+class TestDoneRecords:
+    def test_each_shard_done_exactly_once(self, rnn_small, tmp_path):
+        for index in range(3):
+            _shard(rnn_small, tmp_path, index, 3)
+        status = _status(rnn_small, tmp_path, 3)
+        records = ShardLog(tmp_path).records(status.space)
+        done = sorted(r["i"] for r in records if r.get("t") == "done")
+        assert done == [0, 1, 2]
+        assert status.done == 3 and status.complete
+
     def test_status_counts_progress(self, rnn_small, tmp_path):
         _shard(rnn_small, tmp_path, 0, 2)
         status = _status(rnn_small, tmp_path, 2)
         assert status.chunks == 2 and status.done == 1
-        assert status.claimed == 0 and not status.complete
+        assert not status.complete
         _shard(rnn_small, tmp_path, 1, 2)
         status = _status(rnn_small, tmp_path, 2)
         assert status.done == 2 and status.complete
@@ -202,15 +223,8 @@ class TestWorkerReduceParity:
         assert _winner(merged) == _winner(serial)
         assert merged.evaluations == 0
 
-    def test_worker_metrics_flow_through_engine(self, rnn_small,
-                                                tmp_path):
-        optimizer, result = _shard(rnn_small, tmp_path, 0, 2)
-        assert optimizer.metrics is not None
-        assert optimizer.metrics.pruned == result.pruned
-        assert optimizer.metrics.bound_hits == result.bound_hits
-        assert optimizer.metrics.evaluations == result.evaluations
-
-    def test_crashed_worker_chunk_is_rescored(self, rnn_small, tmp_path):
+    def test_missing_shard_is_rescored_by_reduce(self, rnn_small,
+                                                 tmp_path):
         serial = _serial_winner(rnn_small)
         _shard(rnn_small, tmp_path, 0, 2)   # shard 2 of 2 never runs
         assert not _status(rnn_small, tmp_path, 2).complete
@@ -227,11 +241,11 @@ def _race_worker(cache_dir, index, started, release):
 
 
 @needs_fork
-class TestConcurrentClaimRace:
+class TestConcurrentShards:
     def test_two_processes_share_without_overlap(self, rnn_small,
                                                  tmp_path):
         """Two live shard processes on one cache and one log: each
-        publishes exactly one claim/done pair, and the reduce over what
+        publishes exactly one done record, and the reduce over what
         they wrote matches the serial winner with zero fresh plans."""
         context = multiprocessing.get_context("fork")
         started = context.Semaphore(0)
@@ -344,7 +358,7 @@ class TestStaticSharding:
         statuses = space_statuses(ShardLog(cache.directory))
         status = statuses[static_space_id("ctx", 2)]
         assert status.chunks == 2 and status.done == 2
-        assert status.complete and status.claimed == 0
+        assert status.complete
         assert status.winner == (serial.best.makespan_ns, flat)
         assert len(status.workers) == 2
 

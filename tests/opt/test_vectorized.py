@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.kernels import make_kernel
 from repro.loopir import LoopTree
-from repro.loopir.builder import for_, kernel_, stmt_
 from repro.loopir.component import component_at
 from repro.opt.bounds import BoundCalculator
 from repro.opt.cache import PersistentCache
@@ -35,10 +34,10 @@ from repro.opt.robust import RobustOptimizer
 from repro.opt.solution import Solution
 from repro.opt.threadgroups import generate_nondominated_thread_groups
 from repro.opt.vectorized import BatchEvaluator
-from repro.poly.access import Array
 from repro.schedule.makespan import MakespanEvaluator
 from repro.sim.profiler import fit_component_model
 from repro.timing.platform import Platform
+from tests.strategies import random_kernels
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -96,34 +95,6 @@ def _assert_bitwise(serial, batched):
 
 
 # -- random small components ----------------------------------------------
-
-
-@st.composite
-def random_kernels(draw):
-    """Tiny synthetic kernels: 1–2 loop levels, elementwise or reduction
-    accesses, so parallelizability, SPM pressure and remainder tiles all
-    vary across examples."""
-    depth = draw(st.integers(1, 2))
-    ns = [draw(st.integers(2, 9)) for _ in range(depth)]
-    reduction = depth == 2 and draw(st.booleans())
-    vars_ = [f"v{i}" for i in range(depth)]
-    a = Array("A", tuple(ns))
-    if reduction:
-        out = Array("B", (ns[0],))
-        arrays = {"A": a, "B": out}
-        stmt = stmt_("S0", arrays,
-                     reads={"A": tuple(vars_), "B": (vars_[0],)},
-                     writes={"B": (vars_[0],)})
-    else:
-        out = Array("B", tuple(ns))
-        arrays = {"A": a, "B": out}
-        stmt = stmt_("S0", arrays,
-                     reads={"A": tuple(vars_)},
-                     writes={"B": tuple(vars_)})
-    loop = stmt
-    for var, n in zip(reversed(vars_), reversed(ns)):
-        loop = for_(var, n, loop)
-    return kernel_("rand", list(arrays.values()), [loop]), vars_
 
 
 class TestBitExactness:
