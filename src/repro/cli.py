@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(compile_cmd)
     compile_cmd.add_argument(
         "--robust", action="store_true",
-        help="graceful degradation: exhaustive -> greedy -> sequential")
+        help="graceful degradation: pruned -> greedy -> sequential")
     compile_cmd.add_argument(
         "--stage-budget", type=float, default=10.0, metavar="S",
         help="wall-clock budget per --robust stage in seconds")

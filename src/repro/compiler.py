@@ -47,7 +47,7 @@ from .timing.platform import DEFAULT_PLATFORM, Platform
 
 #: Degradation order of :meth:`PremCompiler.compile_robust` — the best
 #: optimizer first, the unconditionally feasible strategy last.
-FALLBACK_CHAIN: Tuple[str, ...] = ("exhaustive", "greedy", "sequential")
+FALLBACK_CHAIN: Tuple[str, ...] = ("pruned", "greedy", "sequential")
 
 
 def _heuristic(compiler, component, exec_model, run):
@@ -479,7 +479,10 @@ class PremCompiler:
     def _front_end(self, kernel: Kernel, tree: Optional[LoopTree],
                    fission: str
                    ) -> Tuple[Kernel, LoopTree, Optional[FissionResult]]:
-        """The optional fission pre-pass, then the loop tree."""
+        """The optional fission pre-pass, then the loop tree.
+
+        The dependence analysis runs once, inside fission, unless fission
+        split the kernel: a split kernel is analysed again."""
         if fission not in ("off", "auto"):
             raise ValueError(
                 f"unknown fission mode {fission!r}; use 'off' or 'auto'")
@@ -492,6 +495,9 @@ class PremCompiler:
                     "with it")
             fission_result = fission_kernel(kernel)
             kernel = fission_result.kernel
+            if not fission_result.changed:
+                # The kernel fission analysed is the kernel to build.
+                tree = LoopTree.build(kernel, fission_result.dependences)
         return kernel, tree or LoopTree.build(kernel), fission_result
 
     def _optimize_fn(self, strategy: str, cores: Optional[int],

@@ -63,12 +63,21 @@ class FissionSplit:
 
 @dataclass
 class FissionResult:
-    """Outcome of :func:`fission_kernel`."""
+    """Outcome of :func:`fission_kernel`.
+
+    *dependences* is the ``Dep`` set the legality decisions were made
+    on: that of *original*.  When nothing was split (``changed`` is
+    False) it is also the exact ``Dep`` set of *kernel*, so the front end
+    hands it to :meth:`LoopTree.build` instead of analysing again.  A
+    split kernel has new loops and shared prefixes and must be analysed
+    afresh.
+    """
 
     kernel: Kernel                        # distributed kernel
     original: Kernel
     splits: Tuple[FissionSplit, ...]
     renamed: Dict[str, str]               # new loop var -> original var
+    dependences: Tuple[Dependence, ...]
 
     @property
     def changed(self) -> bool:
@@ -214,7 +223,8 @@ class _Fissioner:
         for root in self.kernel.roots:
             roots.extend(self._distribute(root))
         if not self.splits:
-            return FissionResult(self.kernel, self.kernel, (), {})
+            return FissionResult(
+                self.kernel, self.kernel, (), {}, self.dependences)
         kernel = Kernel(
             self.kernel.name,
             list(self.kernel.arrays.values()),
@@ -222,7 +232,8 @@ class _Fissioner:
             self.kernel.constants,
         )
         return FissionResult(
-            kernel, self.kernel, tuple(self.splits), dict(self.renamed))
+            kernel, self.kernel, tuple(self.splits), dict(self.renamed),
+            self.dependences)
 
     def _fresh_var(self, var: str, index: int) -> str:
         candidate = f"{var}__f{index}"

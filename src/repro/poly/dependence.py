@@ -22,19 +22,28 @@ pruning, under the constraint that the first non-'=' level must be '<'
 (source lexicographically before sink — pairs in ``Dep`` are ordered by the
 original schedule).  The analysis is conservative: a rationally feasible
 system is reported as a real dependence.
+
+Each access pair's base system (both domains plus subscript equalities)
+is densified into integer rows and GCD-tested once.  Every direction
+probe, and the loop-independent test, then appends its ``t - s`` rows to
+those dense rows instead of rebuilding a constraint system.  The direction
+rows have coefficient gcd 1, so the base system's GCD verdict covers
+every probe.  Verdicts are memoized per :class:`DependenceAnalyzer`,
+keyed on the deduped dense rows: the key holds column positions, not
+iterator names, so systems equal up to a renaming share one
+elimination.  The memo dies with the analyzer; nothing is cached across
+analyses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product as iter_product
-from typing import FrozenSet, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .access import Access, Array
-from .affine import AffineExpr
+from . import fm
+from .access import Access
 from .constraint import Constraint, ConstraintSystem
 from .domain import Domain
-from .fm import is_feasible
 from .schedule import Schedule
 
 #: Direction encodings for distance component t - s at a shared loop level.
@@ -160,10 +169,14 @@ def shared_prefix(a: Sequence[str], b: Sequence[str]) -> Tuple[str, ...]:
 
 
 class DependenceAnalyzer:
-    """Computes the ``Dep`` set for a list of statements."""
+    """Computes the ``Dep`` set for a list of statements.
+
+    Holds the feasibility memo of one analysis (see the module notes).
+    """
 
     def __init__(self, statements: Sequence[StatementInfo]):
         self._stmts = list(statements)
+        self._verdicts: Dict[FrozenSet[fm.Row], bool] = {}
 
     def analyze(self) -> List[Dependence]:
         """All dependences between every ordered statement pair."""
@@ -172,6 +185,17 @@ class DependenceAnalyzer:
             for dst in self._stmts:
                 deps.extend(self._pair_dependences(src, dst))
         return deps
+
+    def _feasible(self, rows: List[fm.Row]) -> bool:
+        """Rational feasibility of dense integer rows, memoized."""
+        rows = fm.dedupe(rows)
+        key = frozenset(rows)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            nvars = len(rows[0][0]) if rows else 0
+            verdict = bool(fm.eliminate(rows, nvars))
+            self._verdicts[key] = verdict
+        return verdict
 
     # -- one statement pair ----------------------------------------------
 
@@ -195,15 +219,22 @@ class DependenceAnalyzer:
     def _test_access_pair(self, src, dst, src_access, dst_access,
                           shared, kind):
         base = self._base_system(src, dst, src_access, dst_access)
-        if not is_feasible(base):
+        variables = sorted(base.variables())
+        if not fm.gcd_test(base, variables):
+            return None
+        rows = fm.to_rows(base, variables)
+        if rows is None or not self._feasible(rows):
             return None
 
+        index = {v: i for i, v in enumerate(variables)}
+        steps = [_direction_rows(len(variables), index[_SRC + var],
+                                 index[_DST + var]) for var in shared]
         loop_independent = self._loop_independent_feasible(
-            src, dst, base, shared)
+            src, dst, rows, steps)
 
         directions = set()
         if shared:
-            self._enumerate(base, shared, [], directions)
+            self._enumerate(rows, steps, [], directions)
 
         if not directions and not loop_independent:
             return None
@@ -232,9 +263,9 @@ class DependenceAnalyzer:
             system.add(Constraint.eq(lhs, rhs))
         return system
 
-    def _loop_independent_feasible(self, src, dst, base, shared) -> bool:
+    def _loop_independent_feasible(self, src, dst, rows, steps) -> bool:
         """All shared levels '=' and src textually precedes dst."""
-        depth = len(shared)
+        depth = len(steps)
         src_statics = src.schedule.statics_below(depth)
         dst_statics = dst.schedule.statics_below(depth)
         if src.name == dst.name:
@@ -244,15 +275,17 @@ class DependenceAnalyzer:
         from .affine import lex_compare
         if lex_compare(src_statics[:width], dst_statics[:width]) >= 0:
             return False
-        system = base.copy()
-        for var in shared:
-            system.add(Constraint.eq(_SRC + var, AffineExpr.var(_DST + var)))
-        return is_feasible(system)
+        return self._feasible(
+            [*rows, *(row for step in steps for row in step[EQ_DIR])])
 
-    def _enumerate(self, base, shared, prefix, out):
-        """Hierarchical direction enumeration with feasibility pruning."""
+    def _enumerate(self, rows, steps, prefix, out):
+        """Hierarchical direction enumeration with feasibility pruning.
+
+        *rows* is the base system plus the rows of the chosen *prefix*;
+        each candidate direction at the next level appends its own.
+        """
         level = len(prefix)
-        if level == len(shared):
+        if level == len(steps):
             if any(d == LT for d in prefix):
                 out.add(tuple(prefix))
             return
@@ -263,19 +296,27 @@ class DependenceAnalyzer:
         candidates = (LT, EQ_DIR, GT) if first_lt_seen else (LT, EQ_DIR)
 
         for direction in candidates:
-            system = base.copy()
-            ok = True
-            for var, chosen in zip(shared, [*prefix, direction]):
-                src_var = AffineExpr.var(_SRC + var)
-                dst_var = AffineExpr.var(_DST + var)
-                if chosen == LT:
-                    system.add(Constraint.gt(dst_var, src_var))
-                elif chosen == EQ_DIR:
-                    system.add(Constraint.eq(dst_var, src_var))
-                else:
-                    system.add(Constraint.lt(dst_var, src_var))
-            if is_feasible(system):
-                self._enumerate(base, shared, [*prefix, direction], out)
+            system = [*rows, *steps[level][direction]]
+            if self._feasible(system):
+                self._enumerate(system, steps, [*prefix, direction], out)
+
+
+def _direction_rows(nvars: int, src: int, dst: int
+                    ) -> Dict[str, Tuple[fm.Row, ...]]:
+    """Dense rows of each direction between columns *src* (s) and *dst* (t).
+
+    ``<`` is t - s - 1 >= 0, ``>`` is s - t - 1 >= 0 and ``=`` is
+    t - s == 0 as two rows.  Every row has coefficient gcd 1, so appending
+    them never changes the base system's GCD-test verdict.
+    """
+    def row(src_coeff: int, const: int) -> fm.Row:
+        coeffs = [0] * nvars
+        coeffs[src] = src_coeff
+        coeffs[dst] = -src_coeff
+        return tuple(coeffs), const
+
+    return {LT: (row(-1, -1),), GT: (row(1, -1),),
+            EQ_DIR: (row(-1, 0), row(1, 0))}
 
 
 def _dependence_kind(src_access: Access, dst_access: Access) -> str:

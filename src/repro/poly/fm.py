@@ -3,28 +3,35 @@
 The dependence tester (:mod:`repro.poly.dependence`) reduces "does a
 dependence with this direction vector exist?" to the feasibility of a small
 conjunction of affine constraints over the source and sink iteration
-vectors.  We decide feasibility over the rationals with exact ``Fraction``
-arithmetic; the test is *conservative* for the integer question in exactly
-the way the paper requires ("the dependency analysis is conservative"):
+vectors.  We decide feasibility over the rationals, exactly; the test is
+*conservative* for the integer question in exactly the way the paper
+requires ("the dependency analysis is conservative"):
 
 - rationally infeasible  => no integer point          => independent
 - rationally feasible    => assume a dependence exists
 
 A GCD pre-test on equalities removes the most common spurious rational
 solutions (strided accesses).
+
+Rows are dense tuples of Python integers.  A constraint with rational
+coefficients is scaled by the lcm of its denominators, and elimination
+combines rows with positive integer scales; neither changes a row's
+rational solution set.  :func:`dedupe` keys each row by its coefficients
+divided by their gcd and keeps the tightest constant per key, comparing
+the rational bounds ``const / gcd`` exactly by cross-multiplication.  The
+constant is never rounded: flooring it (Omega-style integer tightening)
+would decide the integer question instead and change dependence sets.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .affine import AffineExpr
 from .constraint import EQ, GE, ConstraintSystem
 
-# A linear inequality sum(coeffs[i] * x_i) + const >= 0 in dense form.
-_Row = Tuple[Tuple[Fraction, ...], Fraction]
+#: A linear inequality ``sum(coeffs[i] * x_i) + const >= 0`` in dense form.
+Row = Tuple[Tuple[int, ...], int]
 
 
 class FMResult:
@@ -50,16 +57,16 @@ def is_feasible(system: ConstraintSystem) -> bool:
 def check_feasibility(system: ConstraintSystem) -> FMResult:
     """Run the GCD pre-test then rational Fourier–Motzkin elimination."""
     variables = sorted(system.variables())
-    if not _gcd_test(system, variables):
+    if not gcd_test(system, variables):
         return FMResult(False, "gcd test refuted an equality")
 
-    rows = _to_rows(system, variables)
+    rows = to_rows(system, variables)
     if rows is None:
         return FMResult(False, "constant constraint violated")
-    return _eliminate(rows, len(variables))
+    return eliminate(rows, len(variables))
 
 
-def _gcd_test(system: ConstraintSystem, variables: List[str]) -> bool:
+def gcd_test(system: ConstraintSystem, variables: Sequence[str]) -> bool:
     """Classic GCD test: an equality sum(c_i x_i) = -c0 with integer x
     requires gcd(c_i) | c0.  Returns False when some equality is refuted.
     """
@@ -83,19 +90,20 @@ def _gcd_test(system: ConstraintSystem, variables: List[str]) -> bool:
     return True
 
 
-def _to_rows(system: ConstraintSystem, variables: List[str]):
-    """Densify to inequality rows; equalities become two inequalities.
+def to_rows(system: ConstraintSystem,
+            variables: Sequence[str]) -> Optional[List[Row]]:
+    """Densify to integer inequality rows; equalities become two rows.
 
     Returns None if a variable-free constraint is already violated.
     """
     index: Dict[str, int] = {v: i for i, v in enumerate(variables)}
-    rows: List[_Row] = []
+    rows: List[Row] = []
     for constraint in system:
-        coeffs = [Fraction(0)] * len(variables)
+        coeffs = [0] * len(variables)
         for var, coeff in constraint.expr.coeffs.items():
-            coeffs[index[var]] = Fraction(coeff)
-        const = Fraction(constraint.expr.constant)
-        if all(c == 0 for c in coeffs):
+            coeffs[index[var]] = coeff
+        coeffs, const = _integer_row(coeffs, constraint.expr.constant)
+        if not any(coeffs):
             if constraint.kind == EQ and const != 0:
                 return None
             if constraint.kind == GE and const < 0:
@@ -107,40 +115,54 @@ def _to_rows(system: ConstraintSystem, variables: List[str]):
     return rows
 
 
-def _eliminate(rows: List[_Row], nvars: int) -> FMResult:
+def _integer_row(coeffs: List, const) -> Tuple[List[int], int]:
+    """Scale a row with Fraction entries by the lcm of their denominators.
+
+    The scale is positive, so the row's rational solution set is kept.
+    """
+    if isinstance(const, int) and all(isinstance(c, int) for c in coeffs):
+        return coeffs, const
+    scale = math.lcm(*(c.denominator for c in coeffs), const.denominator)
+    return [int(c * scale) for c in coeffs], int(const * scale)
+
+
+def eliminate(rows: List[Row], nvars: int) -> FMResult:
     """Eliminate variables one by one, combining opposite-sign rows."""
     for var in range(nvars):
-        positive: List[_Row] = []
-        negative: List[_Row] = []
-        neutral: List[_Row] = []
-        for coeffs, const in rows:
-            coeff = coeffs[var]
+        positive: List[Row] = []
+        negative: List[Row] = []
+        neutral: List[Row] = []
+        for row in rows:
+            coeff = row[0][var]
             if coeff > 0:
-                positive.append((coeffs, const))
+                positive.append(row)
             elif coeff < 0:
-                negative.append((coeffs, const))
+                negative.append(row)
             else:
-                neutral.append((coeffs, const))
+                neutral.append(row)
 
         new_rows = neutral
         for pos_coeffs, pos_const in positive:
             for neg_coeffs, neg_const in negative:
                 # pos gives lower bound on x_var, neg gives upper bound;
-                # combine so the variable cancels.
+                # combine with positive scales so the variable cancels.
                 scale_pos = -neg_coeffs[var]
                 scale_neg = pos_coeffs[var]
+                divisor = math.gcd(scale_pos, scale_neg)
+                scale_pos //= divisor
+                scale_neg //= divisor
                 coeffs = tuple(
                     scale_pos * pc + scale_neg * nc
                     for pc, nc in zip(pos_coeffs, neg_coeffs)
                 )
                 const = scale_pos * pos_const + scale_neg * neg_const
-                if all(c == 0 for c in coeffs):
+                if not any(coeffs):
                     if const < 0:
                         return FMResult(
                             False, f"contradiction eliminating var {var}")
                     continue
                 new_rows.append((coeffs, const))
-        rows = _dedupe(new_rows)
+        rows = dedupe(new_rows)
         if not rows:
             return FMResult(True, "all constraints eliminated")
 
@@ -150,21 +172,28 @@ def _eliminate(rows: List[_Row], nvars: int) -> FMResult:
     return FMResult(True, "system reduced to satisfiable constants")
 
 
-def _dedupe(rows: List[_Row]) -> List[_Row]:
-    """Normalize rows and drop duplicates / obviously dominated copies."""
-    seen = {}
+def dedupe(rows: Sequence[Row]) -> List[Row]:
+    """Normalize rows and keep the tightest copy of each left-hand side.
+
+    Rows with proportional coefficients share the key ``coeffs / g``
+    (``g`` the gcd of the coefficients).  Of ``key.x + const/g >= 0`` the
+    smallest ``const/g`` is the strongest; ``c1/g1 < c2/g2`` is decided
+    as ``c1*g2 < c2*g1`` so no bound is ever rounded.  Each kept row is
+    divided by the gcd of all its entries, constant included.
+    """
+    seen: Dict[Tuple[int, ...], Tuple[int, int]] = {}
     for coeffs, const in rows:
-        scale = None
-        for coeff in coeffs:
-            if coeff != 0:
-                scale = abs(coeff)
-                break
-        if scale is None:
-            scale = Fraction(1)
-        key = tuple(c / scale for c in coeffs)
-        value = const / scale
-        # For identical left-hand sides keep the tightest (smallest) constant:
-        # coeffs.x + const >= 0, smaller const is the stronger constraint.
-        if key not in seen or value < seen[key]:
-            seen[key] = value
-    return [(coeffs, const) for coeffs, const in seen.items()]
+        g = math.gcd(*coeffs) or 1
+        key = tuple(c // g for c in coeffs) if g > 1 else coeffs
+        best = seen.get(key)
+        if best is None or const * best[1] < best[0] * g:
+            seen[key] = (const, g)
+    out: List[Row] = []
+    for key, (const, g) in seen.items():
+        common = math.gcd(g, const)
+        if common == g:
+            out.append((key, const // g))
+        else:
+            scale = g // common
+            out.append((tuple(c * scale for c in key), const // common))
+    return out

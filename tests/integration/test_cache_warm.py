@@ -91,7 +91,7 @@ class TestRobustChain:
         cache = PersistentCache(tmp_path)
         compiler = PremCompiler(platform)
         cold = compiler.compile_robust(kernel, cache=cache)
-        assert cold.strategy == "exhaustive"
+        assert cold.strategy == "pruned"
 
         warm = compiler.compile_robust(
             kernel, cache=PersistentCache(tmp_path))

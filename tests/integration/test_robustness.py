@@ -118,9 +118,20 @@ class TestGracefulDegradation:
         result = PremCompiler().compile_robust(kernel, stage_budget_s=0.0)
         assert result.strategy == "sequential"
         statuses = {a.strategy: a.status for a in result.attempts}
-        assert statuses["exhaustive"] == "timeout"
+        assert statuses["pruned"] == "timeout"
         assert statuses["greedy"] == "timeout"
         assert statuses["sequential"] == "ok"
+
+    def test_first_stage_succeeds_at_large(self):
+        # The exact branch-and-bound search finishes within the default
+        # stage budget at LARGE, so the chain never degrades to greedy.
+        kernel = make_kernel("lstm", "LARGE")
+        robust = PremCompiler().compile_robust(kernel)
+        assert (robust.attempts[0].strategy,
+                robust.attempts[0].status) == ("pruned", "ok")
+        assert not robust.degraded
+        direct = PremCompiler().compile(kernel, strategy="pruned")
+        assert robust.makespan_ns == direct.makespan_ns
 
     def test_timeout_error_names_stage_and_budget(self):
         kernel = make_kernel("maxpool", "MINI")
@@ -140,6 +151,6 @@ class TestGracefulDegradation:
     def test_no_budget_keeps_result_undegraded(self):
         kernel = make_kernel("maxpool", "MINI")
         result = PremCompiler().compile_robust(kernel, stage_budget_s=None)
-        assert result.strategy == "exhaustive"
+        assert result.strategy == "pruned"
         assert not result.degraded
         assert [a.status for a in result.attempts] == ["ok"]

@@ -5,12 +5,12 @@ import pytest
 
 from repro.compiler import PremCompiler
 from repro.kernels import make_kernel
-from repro.loopir import fission_kernel, fission_plan
+from repro.loopir import analyze_dependences, fission_kernel, fission_plan
 from repro.loopir.ast import Kernel
 from repro.loopir.builder import for_, stmt_
 from repro.loopir.fission import _partition, backward_blockers
 from repro.poly.access import Array
-from repro.poly.dependence import Dependence
+from repro.poly.dependence import Dependence, DependenceAnalyzer
 from repro.prem.runtime import SequentialInterpreter, init_arrays
 
 ALL_KERNELS = ("cnn", "convrelu", "lstm", "maxpool", "sumpool", "rnn")
@@ -200,6 +200,30 @@ class TestCompilerIntegration:
         on = compiler.compile(kernel, fission="auto")
         assert len(on.components) > len(off.components)
 
+    @pytest.mark.parametrize("name, analyses", [("maxpool", 1), ("rnn", 2)])
+    def test_front_end_reanalyses_only_a_split_kernel(
+            self, monkeypatch, name, analyses):
+        calls = []
+        analyze = DependenceAnalyzer.analyze
+
+        def counting(analyzer):
+            calls.append(analyzer)
+            return analyze(analyzer)
+
+        monkeypatch.setattr(DependenceAnalyzer, "analyze", counting)
+        result = PremCompiler().compile(
+            make_kernel(name, "MINI"), fission="auto")
+        assert result.fission.changed == (analyses == 2)
+        assert len(calls) == analyses
+
+    def test_unsplit_tree_reuses_the_fission_dependences(self):
+        kernel = make_kernel("maxpool", "MINI")
+        result = PremCompiler().compile(kernel, fission="auto")
+        assert not result.fission.changed
+        assert result.tree.dependences == result.fission.dependences
+        assert sorted(map(repr, result.tree.dependences)) == \
+            sorted(map(repr, analyze_dependences(kernel)))
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="fission"):
             PremCompiler().compile(
@@ -227,7 +251,6 @@ class TestCompilerIntegration:
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.analysis.source import verify_fission_plan  # noqa: E402
-from repro.loopir import analyze_dependences  # noqa: E402
 
 
 @st.composite

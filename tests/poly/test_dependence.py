@@ -6,6 +6,9 @@ program of Figure 2.3 and the guarded accumulation of Listing 5.1.
 
 import pytest
 
+from repro.kernels import make_kernel
+from repro.loopir import analyze_dependences
+from repro.poly import fm
 from repro.poly.access import Array, read, write
 from repro.poly.affine import aff
 from repro.poly.constraint import Constraint, ConstraintSystem
@@ -171,3 +174,32 @@ class TestKindsAndDisjointness:
         s1 = StatementInfo("S1", dom, kelly(0, "i", 0), [write(a, "i")])
         s2 = StatementInfo("S2", dom, kelly(0, "i", 1), [read(b, "i")])
         assert DependenceAnalyzer([s1, s2]).analyze() == []
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Every Fourier–Motzkin elimination run, as its variable count."""
+    calls = []
+    eliminate = fm.eliminate
+
+    def counting(rows, nvars):
+        calls.append(nvars)
+        return eliminate(rows, nvars)
+
+    monkeypatch.setattr(fm, "eliminate", counting)
+    return calls
+
+
+class TestEliminationMemo:
+    def test_lstm_small_shares_eliminations(self, eliminations):
+        # One elimination per probe would be 837; systems equal up to
+        # an iterator renaming share one memoized verdict.
+        assert analyze_dependences(make_kernel("lstm", "SMALL"))
+        assert len(eliminations) <= 155
+
+    def test_memo_is_per_analysis(self, eliminations):
+        kernel = make_kernel("rnn", "MINI")
+        first = analyze_dependences(kernel)
+        cold = len(eliminations)
+        assert analyze_dependences(kernel) == first
+        assert len(eliminations) == 2 * cold

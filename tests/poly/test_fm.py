@@ -1,12 +1,15 @@
 """Feasibility tests for the Fourier–Motzkin engine."""
 
+import math
+from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.poly.affine import AffineExpr, aff
 from repro.poly.constraint import Constraint, ConstraintSystem, box_constraints
-from repro.poly.fm import check_feasibility, is_feasible
+from repro.poly.fm import check_feasibility, dedupe, is_feasible
 
 
 def system(*constraints):
@@ -122,3 +125,115 @@ def test_fm_agrees_with_rational_brute_force(rows):
         for x, y in product(range(-5, 6), repeat=2))
     if has_integer_point:
         assert is_feasible(sys_)
+
+
+# ---------------------------------------------------------------------------
+# Exact agreement with a rational reference eliminator
+
+
+def reference_feasible(sys_: ConstraintSystem) -> bool:
+    """GCD pre-test plus Fourier–Motzkin over ``Fraction`` rows.
+
+    An independent restatement of the engine's contract: rows are
+    normalised by their first non-zero coefficient and deduplicated on
+    the exact rational bound.
+    """
+    variables = sorted(sys_.variables())
+    for constraint in sys_:
+        coeffs = [constraint.expr.coeff(v) for v in variables]
+        coeffs = [c for c in coeffs if c != 0]
+        const = constraint.expr.constant
+        if constraint.kind != "==" or not coeffs or not all(
+                isinstance(c, int) for c in (*coeffs, const)):
+            continue
+        if const % math.gcd(*coeffs):
+            return False
+    rows = []
+    for constraint in sys_:
+        coeffs = tuple(Fraction(constraint.expr.coeff(v)) for v in variables)
+        const = Fraction(constraint.expr.constant)
+        rows.append((coeffs, const))
+        if constraint.kind == "==":
+            rows.append((tuple(-c for c in coeffs), -const))
+    for var in range(len(variables)):
+        positive = [r for r in rows if r[0][var] > 0]
+        negative = [r for r in rows if r[0][var] < 0]
+        combined = [r for r in rows if r[0][var] == 0]
+        for pos_coeffs, pos_const in positive:
+            for neg_coeffs, neg_const in negative:
+                a, b = -neg_coeffs[var], pos_coeffs[var]
+                combined.append((
+                    tuple(a * p + b * n
+                          for p, n in zip(pos_coeffs, neg_coeffs)),
+                    a * pos_const + b * neg_const))
+        tightest = {}
+        for coeffs, const in combined:
+            scale = next((abs(c) for c in coeffs if c), Fraction(1))
+            key = tuple(c / scale for c in coeffs)
+            if key not in tightest or const / scale < tightest[key]:
+                tightest[key] = const / scale
+        rows = list(tightest.items())
+    return all(const >= 0 for _, const in rows)
+
+
+VARS = ("a", "b", "x", "y")
+COEFFS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.builds(Fraction, st.integers(min_value=-3, max_value=3),
+              st.integers(min_value=2, max_value=3)),
+)
+
+
+@st.composite
+def rational_systems(draw):
+    nvars = draw(st.integers(min_value=1, max_value=4))
+    constraints = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        coeffs = {v: draw(COEFFS) for v in VARS[:nvars]}
+        const = draw(st.one_of(
+            st.integers(min_value=-6, max_value=6), COEFFS))
+        kind = draw(st.sampled_from(("==", ">=")))
+        constraints.append(Constraint(AffineExpr(coeffs, const), kind))
+    return ConstraintSystem(constraints)
+
+
+@settings(max_examples=300)
+@given(rational_systems())
+def test_fm_verdict_equals_rational_reference(sys_):
+    assert is_feasible(sys_) == reference_feasible(sys_)
+
+
+def _gt(*terms):
+    """``sum(coeff * var) + const >= 0`` from (coeff, var) pairs."""
+    *pairs, const = terms
+    return Constraint(AffineExpr(dict((v, c) for c, v in pairs), const))
+
+
+@pytest.mark.parametrize("constraints, feasible", [
+    # 2x + 1 >= 0 beside -2x >= 0: x in [-1/2, 0].
+    ([_gt((2, "x"), 1), _gt((-2, "x"), 0), _gt((1, "a"), 0)], True),
+    # 2x - 1 >= 0 beside 1 - 2x >= 0: only x = 1/2.  Flooring the
+    # normalised constants (x >= 1, x <= 0) would refute it.
+    ([_gt((2, "x"), -1), _gt((-2, "x"), 1), _gt((1, "a"), 0)], True),
+    # x >= -1/4 is tighter than x >= -1/2; with x <= -1/3 infeasible.
+    ([_gt((2, "x"), 1), _gt((4, "x"), 1), _gt((-3, "x"), -1),
+      _gt((1, "a"), 0)], False),
+    # Rational coefficients: x/2 - 1/3 >= 0 and 1/6 - x/4 >= 0 give
+    # x in [2/3, 2/3].
+    ([_gt((Fraction(1, 2), "x"), Fraction(-1, 3)),
+      _gt((Fraction(-1, 4), "x"), Fraction(1, 6)), _gt((1, "a"), 0)], True),
+])
+def test_fractional_bounds_are_never_rounded(constraints, feasible):
+    # The unrelated variable "a" sorts first, so the x rows are carried
+    # through the first round's dedupe before x is eliminated.
+    sys_ = ConstraintSystem(constraints)
+    assert reference_feasible(sys_) == feasible
+    assert is_feasible(sys_) == feasible
+
+
+def test_dedupe_keeps_the_tightest_rational_bound():
+    # 2x + 1 >= 0 (x >= -1/2) and 4x + 1 >= 0 (x >= -1/4) share the key
+    # (1,); the second is tighter and survives unrounded.
+    assert dedupe([((2,), 1), ((4,), 1)]) == [((4,), 1)]
+    assert dedupe([((4,), 1), ((2,), 1)]) == [((4,), 1)]
+    assert dedupe([((6, -3), 9)]) == [((2, -1), 3)]
