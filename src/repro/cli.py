@@ -15,19 +15,25 @@ Commands
 ``shard``     sharded-compile coordination-log status
 ``shard-reduce``  merge shard results from the shared cache (exact winner)
 
+Every command that compiles, except ``pareto``, takes ``--strategy``
+— the component optimizer, one of :data:`repro.compiler.STRATEGIES`
+(default ``heuristic``, Algorithm 1); ``compile --fallback`` instead
+walks the staged ``pruned -> greedy -> sequential`` chain.
+
 Exit codes: 0 success, 1 expected failure (infeasible schedule,
 error-severity diagnostics, missed faults), 2 bad invocation (unknown
-kernel, preset, or fault kind).
+kernel, preset, or fault kind, or a flag value out of range).
 
 Examples
 --------
     python -m repro compile lstm --preset LARGE --bus 1
     python -m repro compile lstm --preset MINI --jobs 4 --cache-dir .cache
-    python -m repro compile lstm --preset MINI --robust-timing \
+    python -m repro compile lstm --preset MINI --strategy robust \
         --scenarios 32 --risk cvar --alpha 0.9 --seed 0
     python -m repro compile cnn --preset MINI --verify-static
     python -m repro compile lstm --preset MINI --fission auto
-    python -m repro compile lstm --preset SMALL --pareto
+    python -m repro compile lstm --preset SMALL --strategy pareto
+    python -m repro compile maxpool --preset MINI --fallback
     python -m repro pareto lstm --preset SMALL --cores 8
     python -m repro pareto cnn --preset MINI \
         --weights 0.7,0.1,0.1,0.1 --weights 0.25,0.25,0.25,0.25
@@ -40,7 +46,8 @@ Examples
     python -m repro faults lstm --seed 7
     python -m repro cache stats --cache-dir .cache
     python -m repro cache compact --cache-dir .cache
-    python -m repro compile cnn --preset MINI --shard 1/3 --cache-dir .cache
+    python -m repro compile cnn --preset MINI --strategy pruned \
+        --shard 1/3 --cache-dir .cache
     python -m repro shard-reduce cnn --preset MINI --cache-dir .cache
     python -m repro shard status --cache-dir .cache
 """
@@ -52,12 +59,13 @@ import os
 import sys
 from typing import List, Optional
 
-from .compiler import PremCompiler
+from .compiler import STRATEGIES, PremCompiler
 from .errors import KernelConfigError, ReproError
+from .faults.scenarios import sample_scenarios
 from .kernels import KERNELS, PRESET_NAMES, make_kernel
 from .loopir import LoopTree
-from .opt import ideal_makespan_ns
 from .opt.cache import CACHE_ENV, PersistentCache, default_cache_dir
+from .opt.robust import validate_risk
 from .schedule.gantt import render_gantt
 from .timing.platform import Platform
 
@@ -69,7 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_strategy(p):
+        p.add_argument("--strategy", choices=tuple(STRATEGIES),
+                       default="heuristic",
+                       help="component optimizer (default: heuristic, "
+                            "Algorithm 1)")
+
+    def add_common(p, strategy=True):
         p.add_argument("kernel", choices=sorted(KERNELS))
         # Preset validation is deferred to make_kernel so a bad value
         # reports the offending token (argparse's choices= would hide it
@@ -82,11 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bus bandwidth in GB/s")
         p.add_argument("--spm", type=int, default=128,
                        help="per-core SPM size in KiB")
-        p.add_argument("--greedy", action="store_true",
-                       help="use the greedy baseline optimizer")
-        p.add_argument("--pruned", action="store_true",
-                       help="bound-driven exhaustive search (identical "
-                            "winner, far fewer segment plans)")
+        if strategy:
+            add_strategy(p)
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for candidate evaluation "
                             "(1 = serial; results are identical)")
@@ -97,21 +108,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable the persistent makespan cache")
 
     compile_cmd = sub.add_parser("compile", help="optimize and report")
-    add_common(compile_cmd)
-    compile_cmd.add_argument(
-        "--robust", action="store_true",
+    add_common(compile_cmd, strategy=False)
+    modes = compile_cmd.add_mutually_exclusive_group()
+    add_strategy(modes)
+    modes.add_argument(
+        "--fallback", action="store_true",
         help="graceful degradation: pruned -> greedy -> sequential")
     compile_cmd.add_argument(
         "--stage-budget", type=float, default=10.0, metavar="S",
-        help="wall-clock budget per --robust stage in seconds")
-    compile_cmd.add_argument(
-        "--robust-timing", action="store_true",
-        help="rank candidates by a risk objective over seeded "
-             "Monte-Carlo timing scenarios instead of the nominal "
-             "makespan")
+        help="wall-clock budget per --fallback stage in seconds")
     compile_cmd.add_argument(
         "--scenarios", type=int, default=32, metavar="N",
-        help="timing scenarios sampled for --robust-timing "
+        help="timing scenarios sampled for --strategy robust "
              "(0 = nominal winner)")
     compile_cmd.add_argument(
         "--risk", choices=("cvar", "worst", "mean"), default="cvar",
@@ -124,11 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="half-width of the multiplicative timing noise interval")
     compile_cmd.add_argument(
         "--seed", type=int, default=0,
-        help="scenario-sampling seed (same seed => identical winner)")
-    compile_cmd.add_argument(
-        "--pareto", action="store_true",
-        help="keep every component's exact makespan/SPM/DMA/cores "
-             "frontier and print it next to the chosen schedule")
+        help="compiler seed: heuristic random starts and robust "
+             "scenario sampling (same seed => identical winner)")
     compile_cmd.add_argument(
         "--shard", default=None, metavar="I/N",
         help="score only shard I of N (1-based) of every component's "
@@ -160,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pareto = sub.add_parser(
         "pareto", help="exact multi-objective frontier per component")
-    add_common(pareto)
+    add_common(pareto, strategy=False)
     pareto.add_argument(
         "--weights", action="append", default=None, metavar="M,SPM,DMA,C",
         help="scalarization weight vector over (makespan, SPM bytes, "
@@ -212,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         "shard-reduce",
         help="merge shard results: exact winner from the shared cache")
     add_common(reduce_cmd)
+    reduce_cmd.set_defaults(strategy="pruned")
 
     shard_cmd = sub.add_parser(
         "shard", help="sharded-compile coordination-log status")
@@ -222,8 +228,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _checked(flag: str, value, check):
+    """``check(value)``, with the library's ValueError turned into a bad
+    invocation (exit 2) that names *flag*."""
+    try:
+        return check(value)
+    except ValueError as error:
+        raise KernelConfigError(f"{flag} {value}: {error}") from None
+
+
 def _platform(args) -> Platform:
-    return Platform(spm_bytes=args.spm * 1024).with_bus(args.bus * 1e9)
+    platform = _checked("--spm", args.spm,
+                        lambda kib: Platform(spm_bytes=kib * 1024))
+    return _checked("--bus", args.bus,
+                    lambda gbs: platform.with_bus(gbs * 1e9))
 
 
 def _cache(args) -> Optional[PersistentCache]:
@@ -263,10 +281,10 @@ def _shards(args):
     if token is None:
         return None
     shards = _parse_shard(token)
-    if getattr(args, "greedy", False):
+    if STRATEGIES[args.strategy][2] is None:
         raise KernelConfigError(
-            "--shard partitions the exhaustive candidate space; it does "
-            "not compose with --greedy")
+            f"--shard needs an enumerated candidate space; --strategy "
+            f"{args.strategy} has none (use pruned, robust or pareto)")
     if _cache(args) is None:
         raise KernelConfigError(
             "--shard needs the shared persistent cache: pass --cache-dir "
@@ -274,39 +292,33 @@ def _shards(args):
     return shards
 
 
-def _compile(args, use_cache: bool = True):
+#: ``compile`` flags that reach :meth:`PremCompiler.compile` under their
+#: own names; only the robust search reads them.
+ROBUST_FLAGS = ("scenarios", "risk", "alpha", "spread")
+
+
+def _compiler(args, seed: int = 0, use_cache: bool = True) -> PremCompiler:
+    return PremCompiler(_platform(args), seed=seed, jobs=args.jobs,
+                        cache=_cache(args) if use_cache else None)
+
+
+def _compile(args, seed: int = 0, use_cache: bool = True):
+    """Compile per the flags every compiling command shares.  *seed* is
+    the compiler seed: ``compile --seed``; other commands' ``--seed``
+    seeds their own campaigns, not the compiler."""
     kernel = make_kernel(args.kernel, args.preset)
-    cache = _cache(args) if use_cache else None
-    shards = _shards(args)
-    fission = getattr(args, "fission", "off")
-    if getattr(args, "robust_timing", False):
-        # The compiler seed doubles as the scenario-sampling seed, so
-        # --seed reaches the robust search without a second knob.
-        compiler = PremCompiler(
-            _platform(args), seed=args.seed,
-            jobs=getattr(args, "jobs", 1), cache=cache)
-        return compiler.compile(
-            kernel, cores=args.cores, strategy="robust",
-            scenarios=args.scenarios, risk=args.risk,
-            alpha=args.alpha, spread=args.spread, shards=shards,
-            fission=fission)
-    compiler = PremCompiler(
-        _platform(args), jobs=getattr(args, "jobs", 1), cache=cache)
-    if getattr(args, "pareto", False):
-        strategy = "pareto"
-    elif getattr(args, "pruned", False):
-        strategy = "pruned"
-    elif args.greedy:
-        strategy = "greedy"
-    elif shards is not None:
-        # A shard worker must walk the same sorted candidate list on
-        # every host; the bound-driven search is that list's owner.
-        strategy = "pruned"
-    else:
-        strategy = "heuristic"
-    return compiler.compile(
-        kernel, cores=args.cores, strategy=strategy, shards=shards,
-        fission=fission)
+    knobs = {name: value for name, value in vars(args).items()
+             if name in ROBUST_FLAGS}
+    if args.strategy == "robust" and knobs:
+        _checked("--alpha", args.alpha,
+                 lambda alpha: validate_risk(args.risk, alpha))
+        _checked("--scenarios", args.scenarios, sample_scenarios)
+        _checked("--spread", args.spread,
+                 lambda spread: sample_scenarios(0, spread=spread))
+    return _compiler(args, seed, use_cache).compile(
+        kernel, cores=args.cores, strategy=args.strategy,
+        shards=_shards(args), fission=getattr(args, "fission", "off"),
+        **knobs)
 
 
 def cmd_tree(args) -> int:
@@ -318,19 +330,18 @@ def cmd_tree(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    if args.robust and args.shard:
-        raise KernelConfigError(
-            "--shard does not compose with the staged --robust pipeline "
-            "(shard the --pruned or --robust-timing search instead)")
-    if args.robust:
+    if args.fallback:
+        if args.shard:
+            raise KernelConfigError(
+                "--shard does not compose with the staged --fallback "
+                "pipeline (shard a --strategy pruned, robust or pareto "
+                "search instead)")
         kernel = make_kernel(args.kernel, args.preset)
-        compiler = PremCompiler(
-            _platform(args), jobs=args.jobs, cache=_cache(args))
-        result = compiler.compile_robust(
+        result = _compiler(args, args.seed).compile_fallback(
             kernel, cores=args.cores, stage_budget_s=args.stage_budget,
             fission=args.fission)
     else:
-        result = _compile(args)
+        result = _compile(args, args.seed)
     if result.fission is not None:
         from .reporting import fission_note
 
@@ -351,19 +362,19 @@ def cmd_compile(args) -> int:
         print(f"bound hits        : {opt.bound_hits:>16,}")
     if opt.chains_pruned:
         print(f"chains pruned     : {opt.chains_pruned:>16,}")
-    if args.robust:
+    if args.fallback:
         print(f"strategy          : {result.strategy}"
               + (" (degraded)" if result.degraded else ""))
         for attempt in result.attempts:
             print(f"  {attempt.describe()}")
-    if args.robust_timing:
+    if args.strategy == "robust":
         from .reporting import robust_note
 
         for choice in result.opt_result.choices:
             if hasattr(choice.result, "scenario_count"):
                 print(f"{choice.component.label()}: "
                       f"{robust_note(choice.result)}")
-    if getattr(args, "pareto", False):
+    if args.strategy == "pareto":
         _print_frontiers(result.opt_result)
     if args.verify_static:
         report = result.verify_static()
@@ -429,26 +440,15 @@ def cmd_gantt(args) -> int:
 def cmd_sweep(args) -> int:
     kernel = make_kernel(args.kernel, args.preset)
     tree = LoopTree.build(kernel)
-    from .opt import GreedyOptimizer, TreeOptimizer
-
-    optimizer = TreeOptimizer(tree)
     print(f"{'bus GB/s':>10}  {'makespan ns':>16}  {'normalised':>10}")
     for token in args.speeds.split(","):
         speed = float(token)
-        platform = Platform(
-            spm_bytes=args.spm * 1024).with_bus(speed * 1e9)
-        if args.greedy:
-            def optimize_fn(component, exec_model, _p=platform):
-                return GreedyOptimizer(
-                    component, _p, exec_model).optimize(
-                        args.cores or _p.cores)
-            result = optimizer.optimize(
-                platform, cores=args.cores, optimize_fn=optimize_fn)
-        else:
-            result = optimizer.optimize(platform, cores=args.cores)
-        ideal = ideal_makespan_ns(kernel, platform)
+        compiler = PremCompiler(_platform(args).with_bus(speed * 1e9),
+                                jobs=args.jobs, cache=_cache(args))
+        result = compiler.compile(
+            kernel, cores=args.cores, strategy=args.strategy, tree=tree)
         print(f"{speed:>10.4f}  {result.makespan_ns:>16,.0f}  "
-              f"{result.makespan_ns / ideal:>10.4f}")
+              f"{result.normalized_makespan:>10.4f}")
     return 0
 
 
@@ -575,10 +575,9 @@ def cmd_analyze(args) -> int:
     if args.selftest:
         from .faults import run_static_campaign
 
-        strategy = "greedy" if args.greedy else "heuristic"
         campaign = run_static_campaign(
             args.kernel, preset=args.preset, seed=args.seed,
-            cases=args.selftest, strategy=strategy,
+            cases=args.selftest, strategy=args.strategy,
             platform=_platform(args) if args.cores is None
             else _platform(args).with_cores(args.cores))
         print()
@@ -602,11 +601,10 @@ def cmd_faults(args) -> int:
             print(f"unknown fault kinds: {', '.join(unknown)} "
                   f"(known: {', '.join(ALL_KINDS)})", file=sys.stderr)
             return 2
-    strategy = "greedy" if args.greedy else "heuristic"
     result = run_campaign(
         args.kernel, preset=args.preset, seed=args.seed, kinds=kinds,
         per_kind=args.per_kind, platform=_platform(args),
-        strategy=strategy)
+        strategy=args.strategy)
     print(result.describe())
     for outcome in result.outcomes:
         if outcome.missed:
@@ -641,17 +639,15 @@ def cmd_cache(args) -> int:
 
 
 def cmd_shard_reduce(args) -> int:
-    """Merge shard results: one unsharded --pruned compile on the now
-    warm shared cache.  Every candidate a shard scored is a cache hit
-    (zero fresh segment plans) and the incumbent walk re-runs the exact
-    serial rank, so the reported winner is bit-identical to a
-    single-process compile."""
+    """Merge shard results: one unsharded compile (``--strategy``,
+    default pruned) on the now warm shared cache.  Every candidate a
+    shard scored is a cache hit (zero fresh segment plans) and the
+    incumbent walk re-runs the exact serial rank, so the reported
+    winner is bit-identical to a single-process compile."""
     if _cache(args) is None:
         raise KernelConfigError(
             "shard-reduce needs the shared cache the shard workers "
             f"wrote: pass --cache-dir or set ${CACHE_ENV}")
-    args.pruned = True
-    args.greedy = False
     result = _compile(args)
     print(result.opt_result.describe())
     opt = result.opt_result

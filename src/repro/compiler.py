@@ -10,10 +10,11 @@ execute the transformed program on the functional PREM VM.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .opt.exhaustive import ExhaustiveOptimizer
 from .opt.greedy import GreedyOptimizer
 from .opt.ideal import ideal_makespan_ns
 from .opt.pareto import ParetoOptimizer
-from .opt.pruned import DEFAULT_PRUNED_MAX_POINTS, PrunedOptimizer
+from .opt.pruned import PrunedOptimizer
 from .opt.robust import RobustOptimizer
 from .opt.solution import Solution
 from .opt.tree import TreeOptimizer, TreeOptResult
@@ -45,76 +46,32 @@ from .schedule.makespan import DEFAULT_SEGMENT_CAP
 from .sim.machine import MachineModel
 from .timing.platform import DEFAULT_PLATFORM, Platform
 
-#: Degradation order of :meth:`PremCompiler.compile_robust` — the best
+#: Degradation order of :meth:`PremCompiler.compile_fallback` — the best
 #: optimizer first, the unconditionally feasible strategy last.
 FALLBACK_CHAIN: Tuple[str, ...] = ("pruned", "greedy", "sequential")
 
 
-def _heuristic(compiler, component, exec_model, run):
-    return ComponentOptimizer(
-        component, compiler.platform, exec_model,
-        max_iter=compiler.max_iter, seed=compiler.seed,
-        segment_cap=compiler.segment_cap, deadline=run["deadline"],
-        budget_s=run["budget_s"], jobs=run["jobs"], cache=run["cache"])
-
-
-def _greedy(compiler, component, exec_model, run):
-    return GreedyOptimizer(
-        component, compiler.platform, exec_model,
-        segment_cap=compiler.segment_cap, deadline=run["deadline"],
-        budget_s=run["budget_s"], cache=run["cache"])
-
-
-def _exhaustive(compiler, component, exec_model, run):
-    return ExhaustiveOptimizer(
-        component, compiler.platform, exec_model,
-        segment_cap=compiler.segment_cap,
-        max_points=compiler.exhaustive_max_points, deadline=run["deadline"],
-        budget_s=run["budget_s"], jobs=run["jobs"], cache=run["cache"])
-
-
-def _pruned(compiler, component, exec_model, run):
-    return PrunedOptimizer(
-        component, compiler.platform, exec_model,
-        segment_cap=compiler.segment_cap,
-        max_points=compiler.pruned_max_points, deadline=run["deadline"],
-        budget_s=run["budget_s"], jobs=run["jobs"], cache=run["cache"],
-        shard_of=run["shards"])
-
-
-def _pareto(compiler, component, exec_model, run):
-    return ParetoOptimizer(
-        component, compiler.platform, exec_model,
-        segment_cap=compiler.segment_cap,
-        max_points=compiler.pruned_max_points, deadline=run["deadline"],
-        budget_s=run["budget_s"], jobs=run["jobs"], cache=run["cache"],
-        shard_of=run["shards"])
-
-
-def _robust(compiler, component, exec_model, run):
-    return RobustOptimizer(
-        component, compiler.platform, exec_model,
-        segment_cap=compiler.segment_cap, scenarios=run["scenarios"],
-        seed=compiler.seed, spread=run["spread"], risk=run["risk"],
-        alpha=run["alpha"], max_points=compiler.pruned_max_points,
-        deadline=run["deadline"], budget_s=run["budget_s"],
-        jobs=run["jobs"], cache=run["cache"], shard_of=run["shards"])
-
-
-#: Strategy -> (component-optimizer factory, shard exchange).  The
-#: exchange is None for strategies without an enumerated candidate space
-#: (they cannot shard), "winner" for the pruned search (seeded with the
-#: best rank a sibling shard published, and publishing its own), and
-#: "progress" where a shard winner is not comparable across shards: a
-#: dominance archive has no scalar incumbent, and risk winners are not
-#: ranked by the makespan log.
+#: Strategy -> (component optimizer, the keywords it takes beyond the
+#: shared ones, shard exchange).  Every optimizer takes the component,
+#: platform and execution model plus ``segment_cap``, ``deadline``,
+#: ``budget_s`` and ``cache``; the listed extras come from the compiler
+#: (``jobs``, ``seed``) or from the :meth:`PremCompiler.compile` call
+#: (``shard_of`` and the robust knobs).  The exchange is None for
+#: strategies without an enumerated candidate space (they cannot
+#: shard), "winner" for the pruned search (seeded with the best rank a
+#: sibling shard published, and publishing its own), and "progress"
+#: where a shard winner is not comparable across shards: a dominance
+#: archive has no scalar incumbent, and risk winners are not ranked by
+#: the makespan log.  ``sequential`` runs no optimizer at all.
 STRATEGIES = {
-    "heuristic": (_heuristic, None),
-    "greedy": (_greedy, None),
-    "exhaustive": (_exhaustive, None),
-    "pruned": (_pruned, "winner"),
-    "pareto": (_pareto, "progress"),
-    "robust": (_robust, "progress"),
+    "heuristic": (ComponentOptimizer, ("jobs", "seed"), None),
+    "greedy": (GreedyOptimizer, (), None),
+    "exhaustive": (ExhaustiveOptimizer, ("jobs",), None),
+    "pruned": (PrunedOptimizer, ("jobs", "shard_of"), "winner"),
+    "pareto": (ParetoOptimizer, ("jobs", "shard_of"), "progress"),
+    "robust": (RobustOptimizer, ("jobs", "shard_of", "seed", "scenarios",
+                                 "risk", "alpha", "spread"), "progress"),
+    "sequential": (None, (), None),
 }
 
 
@@ -264,18 +221,13 @@ class PremCompiler:
     """The full toolchain: analysis, optimization, code generation."""
 
     def __init__(self, platform: Platform = DEFAULT_PLATFORM,
-                 machine: MachineModel | None = None, max_iter: int = 3,
-                 seed: int = 0, segment_cap: int = DEFAULT_SEGMENT_CAP,
-                 exhaustive_max_points: int = 20_000,
-                 pruned_max_points: int = DEFAULT_PRUNED_MAX_POINTS,
-                 jobs: int = 1, cache: Optional[PersistentCache] = None):
+                 machine: MachineModel | None = None, seed: int = 0,
+                 segment_cap: int = DEFAULT_SEGMENT_CAP, jobs: int = 1,
+                 cache: Optional[PersistentCache] = None):
         self.platform = platform
         self.machine = machine or MachineModel()
-        self.max_iter = max_iter
         self.seed = seed
         self.segment_cap = segment_cap
-        self.exhaustive_max_points = exhaustive_max_points
-        self.pruned_max_points = pruned_max_points
         #: Worker-pool width for candidate evaluation (1 = serial) and
         #: the optional persistent cross-run makespan cache; both are
         #: threaded through every optimization strategy.
@@ -285,10 +237,7 @@ class PremCompiler:
     def compile(self, kernel: Kernel, cores: Optional[int] = None,
                 strategy: str = "heuristic",
                 tree: Optional[LoopTree] = None,
-                deadline: Optional[float] = None,
-                budget_s: float = 0.0,
-                jobs: Optional[int] = None,
-                cache: Optional[PersistentCache] = None,
+                budget_s: Optional[float] = None,
                 scenarios: int = 32,
                 risk: str = "cvar",
                 alpha: float = 0.9,
@@ -298,12 +247,12 @@ class PremCompiler:
                 ) -> CompilationResult:
         """Analyze, optimize and package one kernel.
 
-        *strategy* is ``heuristic`` (Algorithm 1), ``greedy`` (the
-        Section 6.2 baseline), ``exhaustive`` (full candidate scan,
-        guarded by ``exhaustive_max_points``), ``pruned`` (the same
-        scan driven by admissible lower bounds — identical winner,
-        far fewer plans, guarded by the much larger
-        ``pruned_max_points``), ``robust`` (the pruned scan re-ranked
+        *strategy* names a :data:`STRATEGIES` entry: ``heuristic``
+        (Algorithm 1), ``greedy`` (the Section 6.2 baseline),
+        ``exhaustive`` (full candidate scan, guarded by the optimizer's
+        ``max_points``), ``pruned`` (the same scan driven by admissible
+        lower bounds — identical winner, far fewer plans, guarded by a
+        much larger space limit), ``robust`` (the pruned scan re-ranked
         by *risk* — ``worst``/``cvar``/``mean`` — over *scenarios*
         seeded Monte-Carlo timing perturbations of half-width *spread*;
         ``scenarios=0`` degrades to the nominal pruned winner),
@@ -312,12 +261,17 @@ class PremCompiler:
         bytes / cores — ``choice.result.front`` — with the chain
         assembled from each front's makespan-optimal member, so the
         compiled schedule matches ``pruned``), or ``sequential`` (no
-        PREM transformation at all — the whole kernel on one core).  *deadline*/*budget_s* arm the cooperative
-        per-stage timeout used by :meth:`compile_robust`.  *jobs*/
-        *cache* override the compiler-level evaluation-engine settings
-        for this call; the deadline stays armed inside worker
-        processes, and parallel runs are guaranteed to pick the same
-        solutions as serial ones.
+        PREM transformation at all — the whole kernel on one core).
+        The compiler's ``seed`` drives the heuristic's random starts
+        and the robust scenario sampling; its ``jobs`` and ``cache``
+        reach every strategy, and parallel runs are guaranteed to pick
+        the same solutions as serial ones.
+
+        *budget_s* is the search's wall-clock budget in seconds
+        (``None``: unlimited); a search still running when it expires
+        raises :class:`repro.errors.OptimizerTimeout`, the cooperative
+        per-stage timeout of :meth:`compile_fallback`.  The deadline
+        stays armed inside worker processes.
 
         *shards* — ``(index, count)`` — restricts every component's
         candidate walk to shard *index* of *count* (zero-based) for
@@ -341,28 +295,30 @@ class PremCompiler:
         incompatible with an explicitly supplied *tree* (the pre-pass
         changes the kernel the tree must be built from).
         """
-        if shards is not None and (strategy not in STRATEGIES
-                                   or STRATEGIES[strategy][1] is None):
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r} "
+                             f"(known: {', '.join(STRATEGIES)})")
+        search, extras, exchange = STRATEGIES[strategy]
+        if shards is not None and exchange is None:
             raise ValueError(
                 f"strategy {strategy!r} does not support sharding; "
                 f"--shard needs an enumerated candidate space "
                 f"(pruned, robust, or pareto)")
         kernel, tree, fission_result = self._front_end(kernel, tree, fission)
-        if strategy == "sequential":
+        if search is None:
             return self._compile_sequential(kernel, tree, fission_result)
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        optimizer = TreeOptimizer(
-            tree, machine=self.machine, max_iter=self.max_iter,
-            seed=self.seed, segment_cap=self.segment_cap)
-        run = dict(deadline=deadline, budget_s=budget_s,
-                   jobs=self.jobs if jobs is None else jobs,
-                   cache=self.cache if cache is None else cache,
-                   scenarios=scenarios, risk=risk, alpha=alpha,
-                   spread=spread, shards=shards)
-        result = optimizer.optimize(
-            self.platform, cores=cores,
-            optimize_fn=self._optimize_fn(strategy, cores, run))
+        offered = dict(jobs=self.jobs, seed=self.seed, shard_of=shards,
+                       scenarios=scenarios, risk=risk, alpha=alpha,
+                       spread=spread)
+        keywords = dict(
+            segment_cap=self.segment_cap, cache=self.cache,
+            deadline=None if budget_s is None
+            else time.perf_counter() + budget_s,
+            budget_s=budget_s or 0.0,
+            **{name: offered[name] for name in extras})
+        result = TreeOptimizer(tree, machine=self.machine).optimize(
+            self.platform, cores=cores, optimize_fn=functools.partial(
+                self._optimize_component, strategy, cores, keywords))
 
         components = []
         for choice in result.choices:
@@ -388,14 +344,12 @@ class PremCompiler:
             fission=fission_result,
         )
 
-    def compile_robust(self, kernel: Kernel, cores: Optional[int] = None,
-                       strategies: Sequence[str] = FALLBACK_CHAIN,
-                       stage_budget_s: Optional[float] = 10.0,
-                       tree: Optional[LoopTree] = None,
-                       jobs: Optional[int] = None,
-                       cache: Optional[PersistentCache] = None,
-                       fission: str = "off"
-                       ) -> CompilationResult:
+    def compile_fallback(self, kernel: Kernel, cores: Optional[int] = None,
+                         strategies: Sequence[str] = FALLBACK_CHAIN,
+                         stage_budget_s: Optional[float] = 10.0,
+                         tree: Optional[LoopTree] = None,
+                         fission: str = "off"
+                         ) -> CompilationResult:
         """Compile with graceful degradation.
 
         Stages are tried in order; a stage that times out (wall-clock
@@ -404,10 +358,10 @@ class PremCompiler:
         :class:`StageAttempt` and the next stage runs.  ``sequential``
         never fails, so with the default chain this method never raises
         for a well-formed kernel; the attempt log lands in
-        :attr:`CompilationResult.attempts`.  *jobs*/*cache* are forwarded
-        to every stage's :meth:`compile` call; a shared cache lets a
-        later stage reuse makespans an earlier, timed-out stage already
-        paid for.  *fission* as in :meth:`compile`: with ``"auto"`` the
+        :attr:`CompilationResult.attempts`.  Every stage shares the
+        compiler's ``jobs`` and ``cache``; a shared cache lets a later
+        stage reuse makespans an earlier, timed-out stage already paid
+        for.  *fission* as in :meth:`compile`: with ``"auto"`` the
         pre-pass runs once up front and every stage compiles the
         distributed kernel.
         """
@@ -415,14 +369,10 @@ class PremCompiler:
         attempts: List[StageAttempt] = []
         for strategy in strategies:
             started = time.perf_counter()
-            deadline = None
-            if stage_budget_s is not None and strategy != "sequential":
-                deadline = started + stage_budget_s
             try:
                 result = self.compile(
                     kernel, cores=cores, strategy=strategy, tree=tree,
-                    deadline=deadline, budget_s=stage_budget_s or 0.0,
-                    jobs=jobs, cache=cache)
+                    budget_s=stage_budget_s)
                 if not result.feasible:
                     raise InfeasibleScheduleError(
                         f"strategy {strategy!r} found no feasible "
@@ -461,7 +411,6 @@ class PremCompiler:
             makespan_ns=makespan,
             choices=[],
             elapsed_s=time.perf_counter() - started,
-            evaluations=0,
         )
         return CompilationResult(
             kernel=kernel,
@@ -500,33 +449,31 @@ class PremCompiler:
                 tree = LoopTree.build(kernel, fission_result.dependences)
         return kernel, tree or LoopTree.build(kernel), fission_result
 
-    def _optimize_fn(self, strategy: str, cores: Optional[int],
-                     run: Dict[str, object]):
-        """Per-component callback for :meth:`TreeOptimizer.optimize`.
+    def _optimize_component(self, strategy: str, cores: Optional[int],
+                            keywords: Dict[str, object],
+                            component: TilableComponent, exec_model):
+        """Run *strategy*'s search on one component; the per-component
+        callback of :meth:`TreeOptimizer.optimize`.
 
         With a shard restriction and a shared cache, the component's
         search also talks to its sibling shards through the cache
         directory's coordination log; a shard run without a cache is a
         plain restricted search with nobody to talk to."""
-        factory, exchange_kind = STRATEGIES[strategy]
-        cache, shards = run["cache"], run["shards"]
-
-        def optimize_fn(component, exec_model):
-            search = factory(self, component, exec_model, run)
-            exchange = None
-            if shards is not None and cache is not None and \
-                    search.evaluator.context_hash is not None:
-                from .opt.shard import StaticShardExchange
-                exchange = StaticShardExchange(
-                    cache.directory, search.evaluator.context_hash, shards)
-            if exchange is not None and exchange_kind == "winner":
+        search_cls, _, exchange_kind = STRATEGIES[strategy]
+        search = search_cls(component, self.platform, exec_model, **keywords)
+        shards = keywords.get("shard_of")
+        exchange = None
+        if shards is not None and self.cache is not None and \
+                search.evaluator.context_hash is not None:
+            from .opt.shard import StaticShardExchange
+            exchange = StaticShardExchange(
+                self.cache.directory, search.evaluator.context_hash, shards)
+            if exchange_kind == "winner":
                 # Seed with the best rank any sibling shard already
                 # published; can only increase pruning.
                 search.incumbent = exchange.seed()
-            result = search.optimize(cores)
-            if exchange is not None:
-                exchange.publish(component, result,
-                                 winner=exchange_kind == "winner")
-            return result
-
-        return optimize_fn
+        result = search.optimize(cores)
+        if exchange is not None:
+            exchange.publish(component, result,
+                             winner=exchange_kind == "winner")
+        return result

@@ -27,18 +27,13 @@ from ..schedule.makespan import (
 from ..timing.execmodel import ExecModel
 from ..timing.platform import Platform
 from .cache import PersistentCache
-from .engine import EngineMetrics, EvaluationEngine
+from .engine import EngineMetrics, EvaluationEngine, counter_view
 from .threadgroups import generate_nondominated_thread_groups
 from .tilesizes import select_tile_sizes
 
 #: Candidate lists at most this long are scanned exhaustively instead of
 #: ternary-searched (the scan is cheap and immune to convexity violations).
 FULL_SCAN_LIMIT = 8
-
-
-def _counter(name: str) -> property:
-    return property(lambda self: getattr(self.metrics, name),
-                    doc=f"``metrics.{name}``")
 
 
 @dataclass
@@ -56,12 +51,12 @@ class ComponentOptResult:
     #: solution without re-deriving the model.
     exec_model: Optional[ExecModel] = None
 
-    evaluations = _counter("evaluations")
-    cache_hits = _counter("cache_hits")
-    pruned = _counter("pruned")           # discarded on an admissible bound
-    bound_hits = _counter("bound_hits")   # pruned points the cache knew
-    batched = _counter("batched")         # decided by the vector engine
-    batch_fallbacks = _counter("batch_fallbacks")   # simulator-scored
+    evaluations = counter_view("evaluations")
+    cache_hits = counter_view("cache_hits")
+    pruned = counter_view("pruned")     # discarded on an admissible bound
+    bound_hits = counter_view("bound_hits")   # pruned points the cache knew
+    batched = counter_view("batched")   # decided by the vector engine
+    batch_fallbacks = counter_view("batch_fallbacks")   # simulator-scored
 
     @property
     def feasible(self) -> bool:

@@ -132,6 +132,12 @@ class EngineMetrics:
         return NotImplemented
 
 
+def counter_view(name: str) -> property:
+    """A read-only result attribute that reads ``metrics.<name>``."""
+    return property(lambda self: getattr(self.metrics, name),
+                    doc=f"``metrics.{name}``")
+
+
 def score(evaluator: MakespanEvaluator, batch: Optional[BatchEvaluator],
           solutions: Sequence[Solution], metrics: EngineMetrics,
           step: Optional[int] = None

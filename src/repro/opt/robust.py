@@ -79,6 +79,16 @@ def cvar_tail_count(count: int, alpha: float) -> int:
     return max(1, math.ceil((1.0 - alpha) * count))
 
 
+def validate_risk(risk: str, alpha: float) -> None:
+    """Reject an unknown *risk* objective or a CVaR level outside
+    ``[0, 1)``."""
+    if risk not in RISK_OBJECTIVES:
+        raise ValueError(
+            f"unknown risk objective {risk!r} (known: {RISK_OBJECTIVES})")
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError("alpha must lie in [0, 1)")
+
+
 def risk_value(values: Sequence[float], risk: str, alpha: float) -> float:
     """The risk objective over one candidate's scenario makespans.
 
@@ -195,12 +205,7 @@ class RobustOptimizer:
                  jobs: int = 1, cache: Optional[PersistentCache] = None,
                  vectorize: bool = True,
                  shard_of: Optional[Tuple[int, int]] = None):
-        if risk not in RISK_OBJECTIVES:
-            raise ValueError(
-                f"unknown risk objective {risk!r} "
-                f"(known: {RISK_OBJECTIVES})")
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
+        validate_risk(risk, alpha)
         self.component = component
         self.platform = platform
         self.exec_model = exec_model

@@ -29,6 +29,7 @@ from ..timing.execmodel import ExecModel
 from ..timing.platform import Platform
 from .bounds import chain_lower_bound
 from .component import ComponentOptResult, ComponentOptimizer
+from .engine import EngineMetrics, counter_view
 
 
 @dataclass
@@ -54,24 +55,26 @@ class TreeOptResult:
     makespan_ns: float
     choices: List[ComponentChoice]
     elapsed_s: float
-    evaluations: int
-    cache_hits: int = 0
-    pruned: int = 0               # candidate points bound-pruned (all comps)
-    bound_hits: int = 0           # pruned points the persistent cache knew
+    #: Counters summed over *every* component search Algorithm 2 ran,
+    #: including parent chains it optimized and then rejected.
+    metrics: EngineMetrics = field(default_factory=EngineMetrics)
     chains_pruned: int = 0        # parent chains never optimized at all
+
+    evaluations = counter_view("evaluations")
+    cache_hits = counter_view("cache_hits")
+    pruned = counter_view("pruned")
+    bound_hits = counter_view("bound_hits")
 
     @property
     def feasible(self) -> bool:
         return math.isfinite(self.makespan_ns)
 
     @property
-    def probes(self) -> int:
-        """Fresh evaluations plus persistent-cache hits (chosen comps)."""
-        return self.evaluations + self.cache_hits
-
-    @property
     def cache_hit_rate(self) -> float:
-        return self.cache_hits / self.probes if self.probes else 0.0
+        """Persistent-cache hits over plans looked up (fresh or cached);
+        in-process memo hits are no lookup."""
+        lookups = self.evaluations + self.cache_hits
+        return self.cache_hits / lookups if lookups else 0.0
 
     def describe(self) -> str:
         lines = [f"kernel {self.tree.kernel.name}: "
@@ -106,6 +109,7 @@ class TreeOptimizer:
         self._platform: Optional[Platform] = None
         self._cores = 0
         self._chains_pruned = 0
+        self._metrics = EngineMetrics()
 
     def exec_model_for(self, component: TilableComponent) -> ExecModel:
         key = component.band_vars
@@ -127,6 +131,7 @@ class TreeOptimizer:
         self._platform = platform
         self._cores = cores
         self._chains_pruned = 0
+        self._metrics = EngineMetrics()
         if optimize_fn is None:
             def optimize_fn(component, exec_model):
                 optimizer = ComponentOptimizer(
@@ -146,10 +151,7 @@ class TreeOptimizer:
             makespan_ns=total,
             choices=choices,
             elapsed_s=time.perf_counter() - started,
-            evaluations=sum(c.result.evaluations for c in choices),
-            cache_hits=sum(c.result.cache_hits for c in choices),
-            pruned=sum(c.result.pruned for c in choices),
-            bound_hits=sum(c.result.bound_hits for c in choices),
+            metrics=self._metrics,
             chains_pruned=self._chains_pruned,
         )
 
@@ -191,7 +193,7 @@ class TreeOptimizer:
             self._chains_pruned += 1
             return children_makespan, children_choices
 
-        result = optimize_fn(component, exec_model)
+        result = self._search(component, exec_model, optimize_fn)
         parent_makespan = result.total_makespan_ns
         parent_choice = ComponentChoice(result)
 
@@ -203,9 +205,16 @@ class TreeOptimizer:
                         optimize_fn: OptimizeFn
                         ) -> Tuple[float, ComponentChoice]:
         component = TilableComponent(self.tree, tuple(chain))
-        exec_model = self.exec_model_for(component)
-        result = optimize_fn(component, exec_model)
+        result = self._search(
+            component, self.exec_model_for(component), optimize_fn)
         return result.total_makespan_ns, ComponentChoice(result)
+
+    def _search(self, component: TilableComponent, exec_model: ExecModel,
+                optimize_fn: OptimizeFn) -> ComponentOptResult:
+        """One component search, its counters added to the tree's."""
+        result = optimize_fn(component, exec_model)
+        self._metrics += result.metrics
+        return result
 
     def _stray_stmt_cost(self, node: LoopTreeNode) -> float:
         """Sequential cost of statements directly in a branch node's body.

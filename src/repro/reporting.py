@@ -183,7 +183,7 @@ def robust_note(result) -> str:
     the risk objective, nominal vs robust winner, the regret the nominal
     winner would have carried, and the most fragile timing parameter —
     the line archived next to robust-compile bench numbers and printed
-    by ``compile --robust-timing``."""
+    by ``compile --strategy robust``."""
     label = result.risk if result.risk != "cvar" \
         else f"cvar-{result.alpha:g}"
     if not result.scenario_count or result.robust is None:
@@ -213,8 +213,8 @@ def pareto_note(result) -> str:
     Accepts a :class:`~repro.opt.pareto.ParetoComponentResult`; shows
     the front size, how much of the candidate space the bound tiers
     eliminated, and the makespan span the front covers — the line
-    printed by ``compile --pareto`` and archived next to frontier
-    bench numbers."""
+    printed by ``compile --strategy pareto`` and archived next to
+    frontier bench numbers."""
     if not result.front:
         return "pareto: empty front (no feasible candidate)"
     fastest = result.front[0]

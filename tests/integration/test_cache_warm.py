@@ -65,12 +65,12 @@ class TestWarmCompile:
         assert warm.makespan_ns == cold.makespan_ns
         assert _solutions(warm) == _solutions(cold)
 
-    def test_per_call_override_beats_instance_default(self, tmp_path,
-                                                      platform):
+    def test_cache_attached_later_is_used(self, tmp_path, platform):
         kernel = make_kernel("lstm", "MINI")
         compiler = PremCompiler(platform)     # no cache by default
-        compiler.compile(kernel, cache=PersistentCache(tmp_path))
-        warm = compiler.compile(kernel, cache=PersistentCache(tmp_path))
+        compiler.cache = PersistentCache(tmp_path)
+        compiler.compile(kernel)
+        warm = compiler.compile(kernel)
         assert warm.opt_result.evaluations == 0
         assert warm.opt_result.cache_hits > 0
 
@@ -88,13 +88,14 @@ class TestRobustChain:
     def test_robust_threads_cache_through_stages(self, tmp_path,
                                                  platform):
         kernel = make_kernel("lstm", "MINI")
-        cache = PersistentCache(tmp_path)
-        compiler = PremCompiler(platform)
-        cold = compiler.compile_robust(kernel, cache=cache)
+        cold = PremCompiler(
+            platform, cache=PersistentCache(tmp_path)).compile_fallback(
+                kernel)
         assert cold.strategy == "pruned"
 
-        warm = compiler.compile_robust(
-            kernel, cache=PersistentCache(tmp_path))
+        warm = PremCompiler(
+            platform, cache=PersistentCache(tmp_path)).compile_fallback(
+                kernel)
         assert warm.opt_result.evaluations == 0
         assert warm.opt_result.cache_hits > 0
         assert warm.makespan_ns == cold.makespan_ns
@@ -102,7 +103,7 @@ class TestRobustChain:
 
     def test_robust_accepts_jobs(self, platform):
         kernel = make_kernel("lstm", "MINI")
-        serial = PremCompiler(platform).compile_robust(kernel, jobs=1)
-        parallel = PremCompiler(platform).compile_robust(kernel, jobs=2)
+        serial = PremCompiler(platform, jobs=1).compile_fallback(kernel)
+        parallel = PremCompiler(platform, jobs=2).compile_fallback(kernel)
         assert serial.makespan_ns == parallel.makespan_ns
         assert _solutions(serial) == _solutions(parallel)

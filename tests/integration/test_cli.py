@@ -3,6 +3,13 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.compiler import STRATEGIES, PremCompiler
+from repro.kernels import make_kernel
+from repro.timing.platform import Platform
+
+
+def _line(text, prefix):
+    return next(l for l in text.splitlines() if l.startswith(prefix))
 
 
 class TestParser:
@@ -31,10 +38,50 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "makespan" in out and "normalised" in out
 
-    def test_compile_greedy(self, capsys):
-        code = main(["compile", "cnn", "--preset", "MINI",
-                     "--spm", "8", "--greedy"])
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_compile_strategy(self, strategy, capsys):
+        code = main(["compile", "cnn", "--preset", "MINI", "--spm", "8",
+                     "--strategy", strategy, "--scenarios", "4"])
         assert code == 0
+        out = capsys.readouterr().out
+        assert "makespan" in out and "normalised" in out
+
+    @pytest.mark.parametrize("flag", ["--greedy", "--pruned", "--pareto",
+                                      "--robust-timing", "--robust"])
+    def test_removed_strategy_flags_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compile", "cnn", "--preset", "MINI", flag])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--strategy", "robust", "--alpha", "1.5"], "--alpha"),
+        (["--strategy", "robust", "--scenarios", "-1"], "--scenarios"),
+        (["--strategy", "robust", "--spread", "5"], "--spread"),
+        (["--spm", "0"], "--spm"),
+    ])
+    def test_bad_values_exit_2(self, argv, flag, capsys):
+        assert main(["compile", "cnn", "--preset", "MINI"] + argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {flag} ")
+
+    def test_unknown_strategy_is_named_before_the_shard_rule(self):
+        with pytest.raises(ValueError, match="unknown strategy 'prunned'"):
+            PremCompiler().compile(make_kernel("lstm", "MINI"),
+                                   strategy="prunned", shards=(0, 2))
+
+    def test_seed_reaches_every_strategy(self, capsys):
+        # --seed drives the heuristic's random starts too, so the CLI
+        # probes exactly what the library does at the same seed.
+        assert main(["compile", "cnn", "--preset", "MINI",
+                     "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        library = PremCompiler(
+            Platform(spm_bytes=128 * 1024).with_bus(16e9), seed=1).compile(
+                make_kernel("cnn", "MINI"))
+        assert _line(out, "evaluations") == \
+            f"evaluations       : {library.opt_result.evaluations:>16,}"
 
     def test_codegen(self, capsys):
         assert main(["codegen", "maxpool", "--preset", "MINI",
@@ -79,9 +126,9 @@ class TestCommands:
         assert code == 2
         assert "unknown fault kinds" in capsys.readouterr().err
 
-    def test_compile_robust(self, capsys):
+    def test_compile_fallback(self, capsys):
         code = main(["compile", "maxpool", "--preset", "MINI",
-                     "--robust", "--stage-budget", "5"])
+                     "--fallback", "--stage-budget", "5"])
         assert code == 0
         out = capsys.readouterr().out
         assert "strategy" in out and "ok" in out
@@ -145,7 +192,8 @@ class TestCommands:
 
     def test_compile_robust_timing(self, capsys):
         code = main(["compile", "lstm", "--preset", "MINI", "--spm", "8",
-                     "--robust-timing", "--scenarios", "4", "--seed", "0"])
+                     "--strategy", "robust", "--scenarios", "4",
+                     "--seed", "0"])
         assert code == 0
         out = capsys.readouterr().out
         assert "robust: cvar-0.9 over 4 scenarios" in out
@@ -153,18 +201,15 @@ class TestCommands:
     def test_compile_robust_timing_zero_scenarios_matches_pruned(
             self, capsys):
         base = ["lstm", "--preset", "MINI", "--spm", "8"]
-        assert main(["compile"] + base + ["--pruned"]) == 0
+        assert main(["compile"] + base + ["--strategy", "pruned"]) == 0
         pruned_out = capsys.readouterr().out
-        assert main(["compile"] + base + ["--robust-timing",
+        assert main(["compile"] + base + ["--strategy", "robust",
                                           "--scenarios", "0"]) == 0
         robust_out = capsys.readouterr().out
 
-        def makespan_line(text):
-            return next(l for l in text.splitlines()
-                        if l.startswith("makespan"))
-
         # Identical makespan; only the robust note differs.
-        assert makespan_line(pruned_out) == makespan_line(robust_out)
+        assert _line(pruned_out, "makespan") == \
+            _line(robust_out, "makespan")
         assert "0 scenarios (nominal winner kept)" in robust_out
 
     def test_pareto_command(self, capsys):
@@ -177,7 +222,7 @@ class TestCommands:
 
     def test_compile_pareto(self, capsys):
         code = main(["compile", "cnn", "--preset", "MINI",
-                     "--spm", "8", "--pareto"])
+                     "--spm", "8", "--strategy", "pareto"])
         assert code == 0
         out = capsys.readouterr().out
         assert "makespan" in out                 # the usual compile report
@@ -203,18 +248,19 @@ class TestCommands:
 
 class TestShardCli:
     BASE = ["cnn", "--preset", "MINI", "--spm", "8"]
+    PRUNED = BASE + ["--strategy", "pruned"]
 
     def test_shard_compile_status_reduce_roundtrip(self, tmp_path,
                                                    capsys):
-        # Reference: one unsharded --pruned compile on its own cache.
+        # Reference: one unsharded pruned compile on its own cache.
         ref_dir = tmp_path / "ref"
-        assert main(["compile"] + self.BASE +
-                    ["--pruned", "--cache-dir", str(ref_dir)]) == 0
+        assert main(["compile"] + self.PRUNED +
+                    ["--cache-dir", str(ref_dir)]) == 0
         reference = capsys.readouterr().out
 
         shared = tmp_path / "shared"
         for shard in ("1/3", "2/3", "3/3"):
-            assert main(["compile"] + self.BASE +
+            assert main(["compile"] + self.PRUNED +
                         ["--shard", shard,
                          "--cache-dir", str(shared)]) == 0
             out = capsys.readouterr().out
@@ -229,13 +275,10 @@ class TestShardCli:
         merged = capsys.readouterr().out
         assert "0" in merged and "cache hits" in merged
 
-        def line(text, prefix):
-            return next(l for l in text.splitlines()
-                        if l.startswith(prefix))
-
         # The merged winner is bit-identical to the unsharded compile.
-        assert line(merged, "makespan") == line(reference, "makespan")
-        assert line(merged, "kernel cnn") == line(reference, "kernel cnn")
+        assert _line(merged, "makespan") == _line(reference, "makespan")
+        assert _line(merged, "kernel cnn") == \
+            _line(reference, "kernel cnn")
         # ... and recovered entirely from the cache: no fresh plans.
         assert "evaluations       :                0" in merged
 
@@ -245,32 +288,32 @@ class TestShardCli:
         # Score the winning shard first so its published incumbent
         # prunes the later shard to an empty (infeasible) slice.
         for shard in ("1/2", "2/2"):
-            assert main(["compile"] + self.BASE +
+            assert main(["compile"] + self.PRUNED +
                         ["--shard", shard,
                          "--cache-dir", str(shared)]) == 0
             capsys.readouterr()
 
     def test_malformed_shard_exits_2(self, tmp_path, capsys):
         for bad in ("3", "0/2", "3/2", "a/b", "1/0"):
-            code = main(["compile"] + self.BASE +
+            code = main(["compile"] + self.PRUNED +
                         ["--shard", bad, "--cache-dir", str(tmp_path)])
             assert code == 2, bad
             assert "--shard" in capsys.readouterr().err
 
     def test_shard_without_cache_dir_exits_2(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        assert main(["compile"] + self.BASE + ["--shard", "1/2"]) == 2
+        assert main(["compile"] + self.PRUNED + ["--shard", "1/2"]) == 2
         assert "--cache-dir" in capsys.readouterr().err
 
-    def test_shard_rejects_greedy_and_robust(self, tmp_path, capsys):
+    def test_shard_rejects_greedy_and_fallback(self, tmp_path, capsys):
         assert main(["compile"] + self.BASE +
-                    ["--shard", "1/2", "--greedy",
+                    ["--shard", "1/2", "--strategy", "greedy",
                      "--cache-dir", str(tmp_path)]) == 2
-        assert "--greedy" in capsys.readouterr().err
+        assert "--strategy greedy" in capsys.readouterr().err
         assert main(["compile"] + self.BASE +
-                    ["--shard", "1/2", "--robust",
+                    ["--shard", "1/2", "--fallback",
                      "--cache-dir", str(tmp_path)]) == 2
-        assert "--robust" in capsys.readouterr().err
+        assert "--fallback" in capsys.readouterr().err
 
     def test_shard_status_empty_log(self, tmp_path, capsys):
         assert main(["shard", "status", "--cache-dir",
@@ -284,22 +327,22 @@ class TestShardCli:
         assert "--cache-dir" in capsys.readouterr().err
 
     def test_cache_compact_cli(self, tmp_path, capsys):
-        assert main(["compile"] + self.BASE +
-                    ["--pruned", "--cache-dir", str(tmp_path)]) == 0
+        assert main(["compile"] + self.PRUNED +
+                    ["--cache-dir", str(tmp_path)]) == 0
         capsys.readouterr()
         assert main(["cache", "compact", "--cache-dir",
                      str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "reclaimed" in out
         # The compacted cache still yields a 100%-warm compile.
-        assert main(["compile"] + self.BASE +
-                    ["--pruned", "--cache-dir", str(tmp_path)]) == 0
+        assert main(["compile"] + self.PRUNED +
+                    ["--cache-dir", str(tmp_path)]) == 0
         assert "100.0% of probes" in capsys.readouterr().out
 
     def test_robust_timing_accepts_shard(self, tmp_path, capsys):
         for shard in ("1/2", "2/2"):
             assert main(["compile"] + self.BASE +
-                        ["--robust-timing", "--scenarios", "2",
+                        ["--strategy", "robust", "--scenarios", "2",
                          "--shard", shard,
                          "--cache-dir", str(tmp_path)]) == 0
             capsys.readouterr()

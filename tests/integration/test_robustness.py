@@ -106,7 +106,7 @@ class TestGracefulDegradation:
     def test_infeasible_platform_falls_back_to_sequential(self):
         kernel = make_kernel("maxpool", "MINI")
         compiler = PremCompiler(Platform(spm_bytes=16))
-        result = compiler.compile_robust(kernel, stage_budget_s=5.0)
+        result = compiler.compile_fallback(kernel, stage_budget_s=5.0)
         assert result.strategy == "sequential"
         assert result.feasible and result.degraded
         assert [a.strategy for a in result.attempts] == list(FALLBACK_CHAIN)
@@ -115,7 +115,7 @@ class TestGracefulDegradation:
 
     def test_exhausted_budget_times_out_and_degrades(self):
         kernel = make_kernel("maxpool", "MINI")
-        result = PremCompiler().compile_robust(kernel, stage_budget_s=0.0)
+        result = PremCompiler().compile_fallback(kernel, stage_budget_s=0.0)
         assert result.strategy == "sequential"
         statuses = {a.strategy: a.status for a in result.attempts}
         assert statuses["pruned"] == "timeout"
@@ -126,18 +126,17 @@ class TestGracefulDegradation:
         # The exact branch-and-bound search finishes within the default
         # stage budget at LARGE, so the chain never degrades to greedy.
         kernel = make_kernel("lstm", "LARGE")
-        robust = PremCompiler().compile_robust(kernel)
-        assert (robust.attempts[0].strategy,
-                robust.attempts[0].status) == ("pruned", "ok")
-        assert not robust.degraded
+        staged = PremCompiler().compile_fallback(kernel)
+        assert (staged.attempts[0].strategy,
+                staged.attempts[0].status) == ("pruned", "ok")
+        assert not staged.degraded
         direct = PremCompiler().compile(kernel, strategy="pruned")
-        assert robust.makespan_ns == direct.makespan_ns
+        assert staged.makespan_ns == direct.makespan_ns
 
     def test_timeout_error_names_stage_and_budget(self):
         kernel = make_kernel("maxpool", "MINI")
         with pytest.raises(OptimizerTimeout, match="greedy"):
-            PremCompiler().compile(
-                kernel, strategy="greedy", deadline=0.0, budget_s=0.0)
+            PremCompiler().compile(kernel, strategy="greedy", budget_s=0.0)
 
     def test_sequential_makespan_matches_machine_model(self):
         kernel = make_kernel("maxpool", "MINI")
@@ -150,7 +149,7 @@ class TestGracefulDegradation:
 
     def test_no_budget_keeps_result_undegraded(self):
         kernel = make_kernel("maxpool", "MINI")
-        result = PremCompiler().compile_robust(kernel, stage_budget_s=None)
+        result = PremCompiler().compile_fallback(kernel, stage_budget_s=None)
         assert result.strategy == "pruned"
         assert not result.degraded
         assert [a.status for a in result.attempts] == ["ok"]

@@ -145,6 +145,26 @@ class TestTreeOptimizer:
         for key, model in models_after_first.items():
             assert optimizer._models[key] is model
 
+    def test_counts_every_search_including_rejected_chains(self):
+        # lstm/SMALL: Algorithm 2 optimizes a parent chain and then keeps
+        # its children instead; that search's work still counts.
+        tree = LoopTree.build(make_kernel("lstm", "SMALL"))
+        searches = []
+
+        def recording(component, exec_model):
+            search = ComponentOptimizer(component, Platform(), exec_model)
+            searches.append(search.optimize())
+            return searches[-1]
+
+        result = TreeOptimizer(tree).optimize(
+            Platform(), optimize_fn=recording)
+        chosen = sum(c.result.evaluations for c in result.choices)
+        assert len(searches) > len(result.choices)
+        assert result.evaluations == sum(s.evaluations for s in searches)
+        assert result.evaluations > chosen
+        assert result.metrics.memo_hits == \
+            sum(s.metrics.memo_hits for s in searches)
+
     def test_describe(self, lstm_tree):
         result = TreeOptimizer(lstm_tree).optimize(Platform())
         text = result.describe()
