@@ -240,6 +240,8 @@ def _checked(flag: str, value, check):
 def _platform(args) -> Platform:
     platform = _checked("--spm", args.spm,
                         lambda kib: Platform(spm_bytes=kib * 1024))
+    if args.cores is not None:
+        _checked("--cores", args.cores, platform.with_cores)
     return _checked("--bus", args.bus,
                     lambda gbs: platform.with_bus(gbs * 1e9))
 

@@ -267,6 +267,10 @@ class PremCompiler:
         reach every strategy, and parallel runs are guaranteed to pick
         the same solutions as serial ones.
 
+        *cores* overrides the platform's core count for the search
+        (``None``: the platform's); a count below 1 raises
+        :class:`ValueError`.
+
         *budget_s* is the search's wall-clock budget in seconds
         (``None``: unlimited); a search still running when it expires
         raises :class:`repro.errors.OptimizerTimeout`, the cooperative
@@ -295,6 +299,8 @@ class PremCompiler:
         incompatible with an explicitly supplied *tree* (the pre-pass
         changes the kernel the tree must be built from).
         """
+        if cores is not None and cores < 1:
+            raise ValueError(f"cores must be positive, got {cores}")
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r} "
                              f"(known: {', '.join(STRATEGIES)})")

@@ -474,19 +474,18 @@ class BoundCalculator:
                 if lo is None:
                     lo, hi = expr_lo, expr_hi
                     continue
-                if lo.coeffs != expr_lo.coeffs or hi.coeffs != expr_hi.coeffs:
+                if not (lo.same_coeffs(expr_lo)
+                        and hi.same_coeffs(expr_hi)):
                     widened = True    # canonical_range widens to the array
                     break
                 if expr_lo.constant < lo.constant:
                     lo = expr_lo
                 if expr_hi.constant > hi.constant:
                     hi = expr_hi
-            if widened:
+            if widened or not lo.same_coeffs(hi):
                 extent = full_extent
             else:
-                delta = hi - lo
-                extent = int(delta.constant) + 1 \
-                    if delta.is_constant() else full_extent
+                extent = int(hi.constant - lo.constant) + 1
             self._extent_memo[key] = extent
         return extent
 

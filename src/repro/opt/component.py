@@ -8,6 +8,12 @@ fixed.  The paper observes the per-level makespan function is convex in
 the tile size, so ``find_minimum`` is a discrete ternary search; a full
 scan is used for short candidate lists.  ``max_iter`` defaults to 3 sweeps
 as in the paper.
+
+Every probe — the ternary step's pair and the window scan — is scored
+through one :class:`EvaluationEngine` with ``vectorize=True``, the
+bit-exact :class:`BatchEvaluator` path the other searches use, so the
+heuristic's winners and evaluation counts equal a probe-by-probe run on
+the scalar planner.
 """
 
 from __future__ import annotations
@@ -102,7 +108,8 @@ class ComponentOptimizer:
             cores, self.component)
 
         best: Optional[MakespanResult] = None
-        with EvaluationEngine(self.evaluator, jobs=self.jobs) as engine:
+        with EvaluationEngine(self.evaluator, jobs=self.jobs,
+                              vectorize=True) as engine:
             for assignment in assignments:
                 result = self._descend(engine, assignment, rng)
                 if result is None:
@@ -166,9 +173,12 @@ class ComponentOptimizer:
                       ) -> Tuple[int, Optional[MakespanResult]]:
         """Discrete ternary search (full scan for short lists).
 
-        Every scan goes through *engine* as one batch — the pool's when
+        Every probe goes through *engine*: each ternary step sends its
+        two independent probes as one batch, and the final window scan
+        as another — batch-exact vector scoring inline, the pool's when
         ``jobs > 1``.  Ties resolve to the lowest index, so the chosen
-        tile size and the evaluation count match a probe-by-probe scan.
+        tile size and the evaluation count match a probe-by-probe
+        search on the scalar planner.
         """
         def probe(index: int) -> Dict[str, int]:
             sizes = list(current)
@@ -176,22 +186,17 @@ class ComponentOptimizer:
             return {node.var: k
                     for node, k in zip(self.component.nodes, sizes)}
 
-        def scan(lo: int, hi: int) -> int:
+        def makespans(indices: Sequence[int]) -> List[float]:
             results = engine.evaluate_many(
-                [(probe(index), groups) for index in range(lo, hi + 1)])
-            return lo + min(range(len(results)),
-                            key=lambda i: (results[i].makespan_ns, i))
-
-        def value(index: int) -> float:
-            return self.evaluator.evaluate_params(
-                probe(index), groups).makespan_ns
+                [(probe(index), groups) for index in indices])
+            return [result.makespan_ns for result in results]
 
         lo, hi = 0, len(options) - 1
         if len(options) > FULL_SCAN_LIMIT:
             while hi - lo > 2:
                 third = (hi - lo) // 3
                 m1, m2 = lo + third, hi - third
-                v1, v2 = value(m1), value(m2)
+                v1, v2 = makespans((m1, m2))
                 if math.isinf(v1) and math.isinf(v2):
                     # Flat infeasible plateau: convexity gives no gradient
                     # (SPM overflow at large K, segment cap at tiny K), so
@@ -201,7 +206,9 @@ class ComponentOptimizer:
                     hi = m2 - 1
                 else:
                     lo = m1 + 1
-        best_index = scan(lo, hi)
+        window = makespans(range(lo, hi + 1))
+        best_index = lo + min(range(len(window)),
+                              key=lambda i: (window[i], i))
 
         result = self.evaluator.evaluate_params(probe(best_index), groups)
         if not math.isfinite(result.makespan_ns):

@@ -35,14 +35,10 @@ class AffineExpr:
 
     def __init__(self, coeffs: Mapping[str, Number] | None = None,
                  const: Number = 0):
-        items = {}
-        if coeffs:
-            for var, coeff in coeffs.items():
-                if coeff != 0:
-                    items[var] = coeff
-        self._coeffs = dict(sorted(items.items()))
+        self._coeffs = {var: coeffs[var] for var in sorted(coeffs)
+                        if coeffs[var] != 0} if coeffs else {}
         self._const = const
-        self._hash = hash((tuple(self._coeffs.items()), const))
+        self._hash = None       # computed on first use
 
     # -- constructors -----------------------------------------------------
 
@@ -76,6 +72,16 @@ class AffineExpr:
     @property
     def constant(self) -> Number:
         return self._const
+
+    def terms(self):
+        """Read-only ``(var, coeff)`` view of the non-zero terms, in
+        variable order; unlike :attr:`coeffs` it copies nothing."""
+        return self._coeffs.items()
+
+    def same_coeffs(self, other: "AffineExpr") -> bool:
+        """True when both forms have equal coefficient maps, i.e. they
+        differ by a constant; compares without copying either map."""
+        return self._coeffs == other._coeffs
 
     def coeff(self, var: str) -> Number:
         """Coefficient of *var* (0 if absent)."""
@@ -174,6 +180,8 @@ class AffineExpr:
         return self._coeffs == other._coeffs and self._const == other._const
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((tuple(self._coeffs.items()), self._const))
         return self._hash
 
     def __repr__(self) -> str:

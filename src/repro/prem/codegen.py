@@ -365,7 +365,7 @@ class CodeGenerator:
                 lo, _ = partial_bounds(expr, box)
                 if best is None:
                     best = lo
-                elif best.coeffs == lo.coeffs:
+                elif best.same_coeffs(lo):
                     if lo.constant < best.constant:
                         best = lo
                 else:

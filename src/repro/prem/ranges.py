@@ -16,7 +16,9 @@ the outer iteration, exactly as the paper's timing model assumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..loopir.component import TilableComponent
@@ -28,22 +30,23 @@ from ..timing.memory import transfer_bytes, transfer_time_ns
 
 def partial_bounds(expr: AffineExpr, box: Mapping[str, Tuple[int, int]]
                    ) -> Tuple[AffineExpr, AffineExpr]:
-    """[min, max] of *expr* over *box*, leaving other variables symbolic."""
-    lo = AffineExpr.const(expr.constant)
-    hi = AffineExpr.const(expr.constant)
-    for var, coeff in expr.coeffs.items():
-        if var in box:
-            vmin, vmax = box[var]
-            if coeff >= 0:
-                lo = lo + coeff * vmin
-                hi = hi + coeff * vmax
-            else:
-                lo = lo + coeff * vmax
-                hi = hi + coeff * vmin
+    """[min, max] of *expr* over *box*, leaving other variables symbolic.
+
+    The two constants accumulate as plain numbers and the two bounds,
+    which share the symbolic terms, are built once at the end."""
+    lo = hi = expr.constant
+    outer = {}
+    for var, coeff in expr.terms():
+        bounds = box.get(var)
+        if bounds is None:
+            outer[var] = coeff
+        elif coeff >= 0:
+            lo += coeff * bounds[0]
+            hi += coeff * bounds[1]
         else:
-            lo = lo + AffineExpr({var: coeff})
-            hi = hi + AffineExpr({var: coeff})
-    return lo, hi
+            lo += coeff * bounds[1]
+            hi += coeff * bounds[0]
+    return AffineExpr(outer, lo), AffineExpr(outer, hi)
 
 
 @dataclass(frozen=True)
@@ -59,12 +62,12 @@ class CanonicalRange:
         """``Shape(R_a)`` — per-dimension extent (always concrete)."""
         out = []
         for lo, hi in zip(self.lo, self.hi):
-            delta = hi - lo
-            if not delta.is_constant():
+            # hi - lo is constant exactly when the coefficient maps match.
+            if not lo.same_coeffs(hi):
                 raise ValueError(
                     f"range of {self.array.name} has non-constant extent: "
                     f"[{lo!r}, {hi!r}]")
-            out.append(int(delta.constant) + 1)
+            out.append(int(hi.constant - lo.constant) + 1)
         return tuple(out)
 
     @property
@@ -150,7 +153,7 @@ def _stmt_guards(component: TilableComponent, stmt) -> list:
     return guards
 
 
-def _narrow_with_guards(guards, box: Dict[str, Tuple[int, int]]
+def _narrow_with_guards(guards, box: Mapping[str, Tuple[int, int]]
                         ) -> Optional[Dict[str, Tuple[int, int]]]:
     """Intersect a tile box with single-iterator guards.
 
@@ -176,15 +179,11 @@ def _narrow_with_guards(guards, box: Dict[str, Tuple[int, int]]
                 return None
             narrowed[var] = (value, value)
         elif coeff > 0:
-            import math
-            from fractions import Fraction
             lo = max(lo, math.ceil(Fraction(-const, coeff)))
             if lo > hi:
                 return None
             narrowed[var] = (lo, hi)
         else:
-            import math
-            from fractions import Fraction
             hi = min(hi, math.floor(Fraction(-const, coeff)))
             if lo > hi:
                 return None
@@ -229,8 +228,7 @@ def access_range(component: TilableComponent, array_name: str,
     for stmt, access in pairs:
         if not ((reads and access.is_read) or (writes and access.is_write)):
             continue
-        narrowed = _narrow_with_guards(
-            _stmt_guards(component, stmt), dict(box))
+        narrowed = _narrow_with_guards(_stmt_guards(component, stmt), box)
         if narrowed is None:
             continue
         active = True
@@ -249,7 +247,7 @@ def _symbolic_min(current: Optional[AffineExpr], candidate: AffineExpr,
     mismatch (conservative hull)."""
     if current is None:
         return candidate
-    if current.coeffs == candidate.coeffs:
+    if current.same_coeffs(candidate):
         if take_min:
             keep = current.constant <= candidate.constant
         else:
@@ -266,11 +264,9 @@ def ranges_overlap(a: CanonicalRange, b: CanonicalRange) -> bool:
     disjoint makes the ranges disjoint.  Otherwise overlap is assumed.
     """
     for (a_lo, a_hi), (b_lo, b_hi) in zip(zip(a.lo, a.hi), zip(b.lo, b.hi)):
-        if a_hi.coeffs == b_lo.coeffs and \
-                a_hi.constant < b_lo.constant:
+        if a_hi.same_coeffs(b_lo) and a_hi.constant < b_lo.constant:
             return False
-        if b_hi.coeffs == a_lo.coeffs and \
-                b_hi.constant < a_lo.constant:
+        if b_hi.same_coeffs(a_lo) and b_hi.constant < a_lo.constant:
             return False
     return True
 

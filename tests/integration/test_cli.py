@@ -59,6 +59,7 @@ class TestCommands:
         (["--strategy", "robust", "--scenarios", "-1"], "--scenarios"),
         (["--strategy", "robust", "--spread", "5"], "--spread"),
         (["--spm", "0"], "--spm"),
+        (["--cores", "0"], "--cores"),
     ])
     def test_bad_values_exit_2(self, argv, flag, capsys):
         assert main(["compile", "cnn", "--preset", "MINI"] + argv) == 2

@@ -44,6 +44,12 @@ class TestCompile:
             PremCompiler(Platform()).compile(
                 make_kernel("cnn", "MINI"), strategy="magic")
 
+    @pytest.mark.parametrize("cores", [0, -2])
+    def test_non_positive_cores_rejected(self, cores):
+        with pytest.raises(ValueError, match="cores must be positive"):
+            PremCompiler(Platform()).compile(
+                make_kernel("rnn", "MINI"), cores=cores)
+
     def test_functional_equivalence(self):
         result = PremCompiler(Platform(spm_bytes=8192)).compile(
             make_kernel("lstm", "MINI"))

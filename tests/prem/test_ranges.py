@@ -5,6 +5,8 @@ Key fixtures: the LSTM component of Section 3.5 (segment ranges like
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.kernels import lstm, make_kernel, preset_sizes
 from repro.loopir import LoopTree
@@ -14,6 +16,7 @@ from repro.prem.ranges import (
     CanonicalRange,
     bounding_box,
     canonical_range,
+    _symbolic_min,
     partial_bounds,
     ranges_overlap,
     tile_box,
@@ -162,3 +165,152 @@ class TestGuardNarrowing:
         lo, hi = crange.concrete()[0]
         assert lo == 0
         assert hi == nt - 1
+
+
+# ---------------------------------------------------------------------------
+# Hull arithmetic against reference oracles
+#
+# The oracles below are the straightforward ``AffineExpr``-arithmetic
+# versions of the hull helpers: one expression per term, comparisons on
+# copied coefficient maps.  The shipped helpers accumulate plain numbers
+# and compare maps in place; on every input they must agree exactly.
+
+def reference_partial_bounds(expr, box):
+    lo = AffineExpr.const(expr.constant)
+    hi = AffineExpr.const(expr.constant)
+    for var, coeff in expr.coeffs.items():
+        if var in box:
+            vmin, vmax = box[var]
+            if coeff >= 0:
+                lo = lo + coeff * vmin
+                hi = hi + coeff * vmax
+            else:
+                lo = lo + coeff * vmax
+                hi = hi + coeff * vmin
+        else:
+            lo = lo + AffineExpr({var: coeff})
+            hi = hi + AffineExpr({var: coeff})
+    return lo, hi
+
+
+def reference_shape(crange):
+    out = []
+    for lo, hi in zip(crange.lo, crange.hi):
+        delta = hi - lo
+        if not delta.is_constant():
+            raise ValueError(
+                f"range of {crange.array.name} has non-constant extent: "
+                f"[{lo!r}, {hi!r}]")
+        out.append(int(delta.constant) + 1)
+    return tuple(out)
+
+
+def reference_symbolic_min(current, candidate, array, dim, take_min):
+    if current is None:
+        return candidate
+    if current.coeffs == candidate.coeffs:
+        if take_min:
+            keep = current.constant <= candidate.constant
+        else:
+            keep = current.constant >= candidate.constant
+        return current if keep else candidate
+    return AffineExpr.const(0 if take_min else array.shape[dim] - 1)
+
+
+def reference_ranges_overlap(a, b):
+    for (a_lo, a_hi), (b_lo, b_hi) in zip(zip(a.lo, a.hi), zip(b.lo, b.hi)):
+        if a_hi.coeffs == b_lo.coeffs and \
+                a_hi.constant < b_lo.constant:
+            return False
+        if b_hi.coeffs == a_lo.coeffs and \
+                b_hi.constant < a_lo.constant:
+            return False
+    return True
+
+
+BOX_VARS = ("i", "j", "k")
+OUTER_VARS = ("t", "u")           # enclosing iterators, never in a box
+coefficients = st.integers(-4, 4)
+constants = st.integers(-20, 20)
+
+
+def affine_exprs(variables=BOX_VARS + OUTER_VARS):
+    return st.builds(
+        AffineExpr,
+        st.dictionaries(st.sampled_from(variables), coefficients),
+        constants)
+
+
+@st.composite
+def boxes(draw):
+    box = {}
+    for var in draw(st.lists(st.sampled_from(BOX_VARS), unique=True)):
+        low = draw(st.integers(-10, 10))
+        box[var] = (low, low + draw(st.integers(0, 10)))
+    return box
+
+
+@st.composite
+def bound_pairs(draw):
+    """Two bounds that share their outer terms (differing only in the
+    constant) or are drawn independently, so the coefficient maps
+    mostly mismatch."""
+    if draw(st.booleans()):
+        terms = draw(st.dictionaries(st.sampled_from(OUTER_VARS),
+                                     coefficients))
+        return AffineExpr(terms, draw(constants)), \
+            AffineExpr(terms, draw(constants))
+    outer = affine_exprs(OUTER_VARS)
+    return draw(outer), draw(outer)
+
+
+@st.composite
+def canonical_ranges(draw, ndim):
+    """A hull with one (lo, hi) bound pair per dimension."""
+    pairs = [draw(bound_pairs()) for _ in range(ndim)]
+    return CanonicalRange(Array("a", (64,) * ndim),
+                          tuple(lo for lo, _ in pairs),
+                          tuple(hi for _, hi in pairs))
+
+
+class TestHullArithmeticOracles:
+    @given(affine_exprs(), boxes())
+    def test_partial_bounds(self, expr, box):
+        assert partial_bounds(expr, box) == \
+            reference_partial_bounds(expr, box)
+
+    @given(affine_exprs(), boxes())
+    def test_partial_bounds_hull_has_constant_shape(self, expr, box):
+        lo, hi = partial_bounds(expr, box)
+        crange = CanonicalRange(Array("a", (64,)), (lo,), (hi,))
+        assert crange.shape == reference_shape(crange)
+
+    @given(st.integers(1, 3).flatmap(canonical_ranges))
+    def test_shape(self, crange):
+        try:
+            expected = reference_shape(crange)
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                crange.shape
+            assert str(raised.value) == str(error)
+        else:
+            assert crange.shape == expected
+
+    @given(bound_pairs(), st.booleans(), st.booleans())
+    def test_symbolic_min(self, pair, take_min, first):
+        current, candidate = pair
+        current = current if first else None
+        array = Array("a", (64,))
+        got = _symbolic_min(current, candidate, array, 0, take_min)
+        want = reference_symbolic_min(current, candidate, array, 0, take_min)
+        assert got == want
+        if current is not None and current.coeffs != candidate.coeffs:
+            assert got == AffineExpr.const(0 if take_min else 63)
+
+    @given(st.integers(1, 3).flatmap(
+        lambda ndim: st.tuples(canonical_ranges(ndim),
+                               canonical_ranges(ndim))))
+    def test_ranges_overlap(self, pair):
+        a, b = pair
+        assert ranges_overlap(a, b) == reference_ranges_overlap(a, b)
+        assert ranges_overlap(b, a) == reference_ranges_overlap(b, a)
