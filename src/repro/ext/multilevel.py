@@ -163,14 +163,11 @@ def _two_level_pipeline(cores: Sequence[CoreSchedule],
 
     # Stage 1: main-to-L2 bulk transfers, round-robin block-major.
     main_clock = 0.0
-    max_blocks = max(len(blocks) for _, blocks in active)
     # Bulk transfer b of core i may start once block b-2 of core i has
     # finished executing; since execution times are not yet known, the
     # recurrence interleaves stages by block rounds below.
 
     dma_clock = 0.0
-    pending: Dict[int, Sequence[float]] = {
-        core.core: blocks for core, blocks in active}
 
     max_slots = max(core.n_segments + 2 for core, _ in active)
     for slot in range(1, max_slots + 1):

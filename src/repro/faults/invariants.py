@@ -27,7 +27,7 @@ from ..analysis import Diagnostic
 from ..errors import InvariantViolationError
 from ..loopir.component import TilableComponent
 from ..opt.solution import Solution
-from ..prem.macros import ArraySwapSchedule, MacroBuilder
+from ..prem.macros import MacroBuilder
 from ..prem.runtime import VmTrace
 from ..prem.segments import RO, RW, WO, CoreSchedule
 from ..schedule.pipeline import PipelineOp, static_timeline
@@ -129,7 +129,7 @@ class PremInvariantChecker:
             bound = {name: (buffer, lo, shape)
                      for name, buffer, lo, shape in (event.used or ())}
             for name, schedule in schedules.items():
-                current = _current_event(schedule, event.segment)
+                current = schedule.event_at(event.segment)
                 if current is None:
                     continue
                 bounds = current.crange.concrete(trace.outer)
@@ -263,13 +263,3 @@ class PremInvariantChecker:
         """Raise :class:`InvariantViolationError` if any were found."""
         if diagnostics:
             raise InvariantViolationError(diagnostics)
-
-
-def _current_event(schedule: ArraySwapSchedule, segment: int):
-    current = None
-    for event in schedule.events:
-        if event.segment <= segment:
-            current = event
-        else:
-            break
-    return current

@@ -117,8 +117,8 @@ class BoundCalculator:
                                List[Tuple[Tuple[int, int], int]]] = {}
         self._spm_terms = self._build_spm_terms()
         self._extent_memo: Dict[Tuple, int] = {}
-        self._min_xfer: Dict[Tuple, float] = {}
-        self._min_bytes: Dict[Tuple, int] = {}
+        #: (array, key-variable sizes) -> _cheapest_event's pair.
+        self._cheapest: Dict[Tuple, Tuple[float, int]] = {}
         #: Per-array direction count: ops the DMA carries per swap event.
         self._dirs = {
             name: (1 if mode in (RO, RW) else 0) +
@@ -132,33 +132,30 @@ class BoundCalculator:
                     groups: Sequence[int]) -> float:
         """Compute-path bound, or ``+inf`` for provably infeasible
         candidates (invalid parameters, segment cap, SPM floor)."""
-        segments = 1
-        for node, k, r in zip(self._nodes, sizes, groups):
-            if k < 1 or k > node.N or r < 1 or (r > 1 and not node.parallel):
-                return math.inf       # Solution() rejects these outright
-            m = -(-node.N // k)
-            if r > m:
-                return math.inf       # more thread groups than tiles
-            segments *= -(-m // r)
-        if segments > self.segment_cap:
-            return math.inf           # the planner's evaluation cap
-        if 2 * self._spm_floor(sizes) > self.platform.spm_bytes:
-            return math.inf           # cannot fit double-buffered SPM
+        if self._infeasible(sizes, groups) is not None:
+            return math.inf
         return self._compute_path(sizes, groups) * _SAFETY
 
     def exact_infeasible(self, tile_sizes: Mapping[str, int],
                          thread_groups: Mapping[str, int] | None
                          ) -> Optional[str]:
         """Reason when the candidate is *guaranteed* infeasible, else
-        None.  Mapping-keyed front door for the greedy optimizer: every
-        check here is an exact implication of a ``Solution`` ValueError
-        or planner :class:`PlanError`, so skipping the evaluation cannot
-        change any optimizer decision."""
+        None: the quick tier's own test behind a mapping-keyed front
+        door for the greedy optimizer (a missing tile size means the
+        whole loop, a missing group count one group)."""
         thread_groups = thread_groups or {}
+        return self._infeasible(
+            [int(tile_sizes.get(node.var, node.N)) for node in self._nodes],
+            [int(thread_groups.get(node.var, 1)) for node in self._nodes])
+
+    def _infeasible(self, sizes: Sequence[int],
+                    groups: Sequence[int]) -> Optional[str]:
+        """Every check here is an exact implication of a ``Solution``
+        ValueError or planner :class:`PlanError` (the SPM one through a
+        provable floor), so skipping the candidate cannot change any
+        optimizer decision."""
         segments = 1
-        for node in self._nodes:
-            k = int(tile_sizes.get(node.var, node.N))
-            r = int(thread_groups.get(node.var, 1))
+        for node, k, r in zip(self._nodes, sizes, groups):
             if k < 1 or k > node.N:
                 return f"tile size {k} out of range for {node.var}"
             if r < 1 or (r > 1 and not node.parallel):
@@ -170,8 +167,6 @@ class BoundCalculator:
         if segments > self.segment_cap:
             return (f"{segments} segments/core exceeds "
                     f"the evaluation cap {self.segment_cap}")
-        sizes = tuple(
-            int(tile_sizes.get(node.var, node.N)) for node in self._nodes)
         floor = 2 * self._spm_floor(sizes)
         if floor > self.platform.spm_bytes:
             return (f"solution needs at least {floor} B of SPM "
@@ -491,15 +486,17 @@ class BoundCalculator:
 
     # -- DMA path (tier 2) -------------------------------------------------
 
-    def _min_event_transfer(self, name: str,
-                            sizes_map: Mapping[str, int]) -> float:
-        """Cheapest transfer any swap event of *name* can carry: the min
-        over every remainder-mask combination of the canonical-range
-        transfer time (transfer is *not* monotone in tile widths — a
-        wider range can coalesce into fewer DMA lines)."""
+    def _cheapest_event(self, name: str,
+                        sizes_map: Mapping[str, int]) -> Tuple[float, int]:
+        """``(transfer_ns, payload_bytes)``: the cheapest transfer and,
+        minimized independently (each floor is admissible on its own
+        axis), the cheapest payload any swap event of *name* can carry —
+        the min over every remainder-mask combination of the canonical
+        range (transfer is *not* monotone in tile widths — a wider range
+        can coalesce into fewer DMA lines)."""
         key_vars = self.geometry.key_vars(name)
         memo_key = (name, tuple(sizes_map[v] for v in key_vars))
-        cached = self._min_xfer.get(memo_key)
+        cached = self._cheapest.get(memo_key)
         if cached is not None:
             return cached
         rem_vars = []
@@ -510,51 +507,47 @@ class BoundCalculator:
             rem_w = node.N - (m - 1) * k
             if rem_w != k:
                 rem_vars.append((var, rem_w))
-        if len(rem_vars) > _MAX_MASK_LEVELS:
-            self._min_xfer[memo_key] = 0.0
-            return 0.0
-        best = math.inf
-        try:
-            for choice in product((False, True), repeat=len(rem_vars)):
-                widths = dict(sizes_map)
-                for (var, rem_w), take in zip(rem_vars, choice):
-                    if take:
-                        widths[var] = rem_w
-                entry = self.geometry.range_entry(name, sizes_map, widths)
-                if entry[1] < best:
-                    best = entry[1]
-        except LookupError:
-            best = 0.0
-        if not math.isfinite(best):
-            best = 0.0
-        self._min_xfer[memo_key] = best
-        return best
+        entries = []
+        if len(rem_vars) <= _MAX_MASK_LEVELS:
+            try:
+                for choice in product((False, True), repeat=len(rem_vars)):
+                    widths = dict(sizes_map)
+                    for (var, rem_w), take in zip(rem_vars, choice):
+                        if take:
+                            widths[var] = rem_w
+                    entries.append(
+                        self.geometry.range_entry(name, sizes_map, widths))
+            except LookupError:
+                entries = []
+        xfer = min((entry[1] for entry in entries), default=0.0)
+        cached = (xfer if math.isfinite(xfer) else 0.0,
+                  min((int(entry[2]) for entry in entries), default=0))
+        self._cheapest[memo_key] = cached
+        return cached
 
-    def _dma_path(self, sizes: Sequence[int], groups: Sequence[int],
-                  sizes_map: Mapping[str, int]) -> float:
-        """Total DMA busy-time floor: exact per-core swap-event counts
-        (the planner's rollover rule) times the cheapest per-event
-        transfer, summed over every core — all serialized on the single
-        shared DMA engine."""
+    def _swap_event_total(self, sizes: Sequence[int], groups: Sequence[int],
+                          sizes_map: Mapping[str, int], axis: int):
+        """Exact per-core swap-event counts (the planner's rollover
+        rule), each event charged axis *axis* of :meth:`_cheapest_event`
+        (0: transfer ns, 1: payload bytes), summed over every core."""
         depth = len(sizes)
-        arrays = {}
+        arrays = []
         for name in self.component.arrays():
             dirs = self._dirs[name]
             if not dirs:
                 continue
-            xfer = self._min_event_transfer(name, sizes_map)
-            if xfer <= 0.0:
+            cost = self._cheapest_event(name, sizes_map)[axis]
+            if cost <= 0:
                 continue
-            arrays[name] = (
-                self.geometry.relevant_levels(name, sizes_map),
-                dirs, xfer)
+            arrays.append((
+                self.geometry.relevant_levels(name, sizes_map), dirs, cost))
         if not arrays:
-            return 0.0
+            return 0
         per_level = [
             self._level_options(j, k, r)
             for j, (k, r) in enumerate(zip(sizes, groups))
         ]
-        total = 0.0
+        total = 0
         for combo in product(*per_level):
             mult = 1
             for _opt, group_count in combo:
@@ -568,14 +561,20 @@ class BoundCalculator:
                 prefix = nxt
             if prefix == 0:
                 continue              # empty cores swap nothing
-            for relevant, dirs, xfer in arrays.values():
+            for relevant, dirs, cost in arrays:
                 events = 1            # segment 1 loads every array
                 for roll in range(depth):
                     if any(r == roll or (r > roll and cnts[r] > 1)
                            for r in relevant):
                         events += rollovers[roll]
-                total += mult * events * dirs * xfer
+                total += mult * events * dirs * cost
         return total
+
+    def _dma_path(self, sizes: Sequence[int], groups: Sequence[int],
+                  sizes_map: Mapping[str, int]) -> float:
+        """Total DMA busy-time floor: every swap event at its cheapest
+        transfer, all serialized on the single shared DMA engine."""
+        return self._swap_event_total(sizes, groups, sizes_map, 0)
 
     # -- objective floors (multi-objective search) -------------------------
 
@@ -601,90 +600,11 @@ class BoundCalculator:
         the same way the planner doubles for the ping/pong buffers."""
         return 2 * self._spm_floor(sizes)
 
-    def _min_event_bytes(self, name: str,
-                         sizes_map: Mapping[str, int]) -> int:
-        """Cheapest payload any swap event of *name* can carry, in
-        bytes: the byte twin of :meth:`_min_event_transfer` (minimized
-        independently over the same remainder masks — each floor is
-        admissible on its own axis)."""
-        key_vars = self.geometry.key_vars(name)
-        memo_key = (name, tuple(sizes_map[v] for v in key_vars))
-        cached = self._min_bytes.get(memo_key)
-        if cached is not None:
-            return cached
-        rem_vars = []
-        for var in key_vars:
-            node = self._node_by_var[var]
-            k = sizes_map[var]
-            m = -(-node.N // k)
-            rem_w = node.N - (m - 1) * k
-            if rem_w != k:
-                rem_vars.append((var, rem_w))
-        if len(rem_vars) > _MAX_MASK_LEVELS:
-            self._min_bytes[memo_key] = 0
-            return 0
-        best: Optional[int] = None
-        try:
-            for choice in product((False, True), repeat=len(rem_vars)):
-                widths = dict(sizes_map)
-                for (var, rem_w), take in zip(rem_vars, choice):
-                    if take:
-                        widths[var] = rem_w
-                entry = self.geometry.range_entry(name, sizes_map, widths)
-                if best is None or entry[2] < best:
-                    best = int(entry[2])
-        except LookupError:
-            best = 0
-        best = 0 if best is None else best
-        self._min_bytes[memo_key] = best
-        return best
-
     def dma_bytes_floor(self, sizes: Sequence[int], groups: Sequence[int],
                         sizes_map: Mapping[str, int]) -> int:
-        """Admissible floor on ``ComponentPlan.total_transferred_bytes``.
-
-        The exact swap-event counts of :meth:`_dma_path` (the planner's
-        rollover rule), each event charged the cheapest payload any
-        event of its array could possibly carry.  Pure integer
-        arithmetic, so no safety factor is needed — there is no float
-        rounding to absorb."""
-        arrays = {}
-        for name in self.component.arrays():
-            dirs = self._dirs[name]
-            if not dirs:
-                continue
-            nbytes = self._min_event_bytes(name, sizes_map)
-            if nbytes <= 0:
-                continue
-            arrays[name] = (
-                self.geometry.relevant_levels(name, sizes_map),
-                dirs, nbytes)
-        if not arrays:
-            return 0
-        depth = len(sizes)
-        per_level = [
-            self._level_options(j, k, r)
-            for j, (k, r) in enumerate(zip(sizes, groups))
-        ]
-        total = 0
-        for combo in product(*per_level):
-            mult = 1
-            for _opt, group_count in combo:
-                mult *= group_count
-            cnts = [opt[0] for opt, _ in combo]
-            prefix = 1
-            rollovers = []
-            for j in range(depth):
-                nxt = prefix * cnts[j]
-                rollovers.append(nxt - prefix)
-                prefix = nxt
-            if prefix == 0:
-                continue              # empty cores swap nothing
-            for relevant, dirs, nbytes in arrays.values():
-                events = 1            # segment 1 loads every array
-                for roll in range(depth):
-                    if any(r == roll or (r > roll and cnts[r] > 1)
-                           for r in relevant):
-                        events += rollovers[roll]
-                total += mult * events * dirs * nbytes
-        return total
+        """Admissible floor on ``ComponentPlan.total_transferred_bytes``:
+        the swap-event walk of :meth:`_dma_path`, each event charged the
+        cheapest payload any event of its array could possibly carry.
+        Pure integer arithmetic, so no safety factor is needed — there
+        is no float rounding to absorb."""
+        return self._swap_event_total(sizes, groups, sizes_map, 1)

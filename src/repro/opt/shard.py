@@ -186,7 +186,6 @@ class SpaceStatus:
     space: str
     component: str = ""
     chunks: int = 0               # shards the space was split into
-    candidates: int = 0
     done: int = 0                 # shards that published a done record
     workers: Tuple[str, ...] = ()
     winner: Optional[Rank] = None
@@ -199,7 +198,8 @@ class SpaceStatus:
         parts = [f"{self.done}/{self.chunks} chunks done"]
         if self.winner is not None:
             parts.append(f"best {self.winner[0]:,.0f} ns")
-        return ", ".join(parts)
+        text = ", ".join(parts)
+        return f"{self.component}: {text}" if self.component else text
 
 
 def space_statuses(log: ShardLog) -> Dict[str, SpaceStatus]:
@@ -222,8 +222,6 @@ def space_statuses(log: ShardLog) -> Dict[str, SpaceStatus]:
             workers[space].add(worker)
         if kind == "space":
             status.chunks = int(record.get("chunks", status.chunks))
-            status.candidates = int(
-                record.get("candidates", status.candidates))
             status.component = str(
                 record.get("component", status.component))
         elif kind == "done":
@@ -264,8 +262,8 @@ class StaticShardExchange:
                        for r in records):
                 self.log.append({
                     "t": "space", "s": self.space, "w": self.worker,
-                    "chunks": self.count, "candidates": 0,
-                    "component": component.label(), "ts": time.time(),
+                    "chunks": self.count, "component": component.label(),
+                    "ts": time.time(),
                 })
             self.log.append({
                 "t": "done", "s": self.space, "c": chunk_id,

@@ -24,10 +24,13 @@ tests enforce it).
 Exactness contract: a candidate is scored by the vector engine whenever
 its padded tensor slice fits the cell budget (``cores * (segments + 2)
 <= max_cells``); preflight-infeasible candidates (segment cap, SPM,
-overlap legality) are decided exactly via
-:meth:`SegmentPlanner.preflight` with the planner's own error strings.
-Anything else — in practice only absurdly segment-heavy candidates under
-a tiny budget — falls back to the event-driven simulator.  The per-call
+overlap legality) are decided exactly by
+:meth:`SegmentPlanner.preflight` itself — the one copy of those rules,
+with the planner's own error strings; its memos live in the planner
+(array plans by tile sizes) and in :class:`ArrayGeometry` (the
+separating-dimension test).  Anything else — in practice only absurdly
+segment-heavy candidates under a tiny budget — falls back to the
+event-driven simulator.  The per-call
 ``exactness_mask`` records the routing and ``fallbacks`` counts it;
 fallbacks are never silent.  The searches reach this module through
 :func:`repro.opt.engine.score`, which counts the routing on the
@@ -82,12 +85,6 @@ class BatchEvaluator:
         #: vector model decided the candidate (including cache hits and
         #: preflight-exact infeasibles), False for simulator fallbacks.
         self.exactness_mask: List[bool] = []
-        # Preflight memos (see _preflight): array plans and the SPM sum
-        # depend only on the tile-size vector, separating-dimension
-        # legality only on (array, level, K) — candidate batches revisit
-        # both constantly.
-        self._plans_memo: Dict[tuple, tuple] = {}
-        self._sep_memo: Dict[tuple, bool] = {}
         # (array, K vector, remainder submask) -> (transfer_ns, bytes);
         # chunks with different R assignments revisit the same tile-size
         # points, and this skips even the shared geometry memo's
@@ -153,61 +150,6 @@ class BatchEvaluator:
             np.minimum(first + Z[:, None, :], M[:, None, :]) - first, 0)
         return cnt.prod(axis=2).max(axis=1)
 
-    def _preflight(self, solution: Solution, segs: int) -> tuple:
-        """Memoized twin of :meth:`SegmentPlanner.preflight`.
-
-        Raises :class:`PlanError` with the exact serial message in the
-        exact serial precedence (segment cap, SPM, write disjointness);
-        returns ``(array_plans, spm_bytes)``.  *segs* is the candidate's
-        ``max_segments_per_core()``, precomputed vectorized.  The heavy
-        pieces are memoized across the whole batch: array plans and the
-        SPM sum by the tile-size vector, the structural
-        separating-dimension test by ``(array, level, K)``."""
-        planner = self.evaluator.planner
-        cap = self.evaluator.segment_cap
-        if cap is not None and segs > cap:
-            raise PlanError(
-                f"{segs} segments/core exceeds "
-                f"the evaluation cap {cap}")
-        sizes_key = tuple(level.K for level in solution.levels)
-        entry = self._plans_memo.get(sizes_key)
-        if entry is None:
-            plans = planner._array_plans(solution)
-            entry = (plans,
-                     2 * sum(p.bounding_bytes for p in plans.values()))
-            self._plans_memo[sizes_key] = entry
-        plans, spm = entry
-        if spm > planner.platform.spm_bytes:
-            raise PlanError(
-                f"solution needs {spm} B of SPM "
-                f"(> {planner.platform.spm_bytes} B)")
-        band = planner.component.band_vars
-        for name, plan in plans.items():
-            if plan.mode == RO:
-                continue
-            relevant = set(plan.relevant_levels)
-            for level_idx, level in enumerate(solution.levels):
-                if level.R > 1 and level_idx not in relevant:
-                    raise PlanError(
-                        f"array {name} is written identically by all "
-                        f"thread groups of level {level.var}")
-            for level_idx in plan.relevant_levels:
-                level = solution.levels[level_idx]
-                if level.M == 1 and level.R == 1:
-                    continue
-                sep_key = (name, level_idx, level.K)
-                ok = self._sep_memo.get(sep_key)
-                if ok is None:
-                    ok = planner._has_separating_dim(
-                        name, band[level_idx], level.K, solution)
-                    self._sep_memo[sep_key] = ok
-                if not ok:
-                    raise PlanError(
-                        f"written array {name} has overlapping but "
-                        f"unequal ranges across tiles of level "
-                        f"{band[level_idx]}")
-        return plans, spm
-
     def _score_fresh(self, order, fresh, results, exact, solutions) -> None:
         evaluator = self.evaluator
         by_r: Dict[Tuple[int, ...], List[tuple]] = {}
@@ -219,11 +161,13 @@ class BatchEvaluator:
             counts = self._batch_segments([s for _, s in group])
             for (key, _sol), segs in zip(group, counts):
                 segs_by_key[key] = int(segs)
+        planner = evaluator.planner
         batches: Dict[Tuple[int, ...], List[tuple]] = {}
         for key, solution in order:
             segs = segs_by_key[key]
             try:
-                plans, spm = self._preflight(solution, segs)
+                plans, spm = planner.preflight(
+                    solution, evaluator.segment_cap, segments=segs)
             except PlanError as error:
                 self.scored += 1
                 self.infeasible += 1

@@ -76,6 +76,16 @@ class ArraySwapSchedule:
             bits |= 1 << self.issue_segment(event.index)
         return bits
 
+    def event_at(self, segment: int) -> Optional[SwapEvent]:
+        """The swap event whose range *segment* works on: the last one
+        at or before it (None before the first)."""
+        current = None
+        for event in self.events:
+            if event.segment > segment:
+                break
+            current = event
+        return current
+
     def issue_segment(self, index: int) -> int:
         """Segment whose DATA_SWAP/ALLOC macro issues the x-th swap call.
 

@@ -337,7 +337,7 @@ class _CoreState:
         views: Dict[str, SpmBufferView] = {}
         used = []
         for name, schedule in self.schedules.items():
-            event = self._current_event(schedule, segment)
+            event = schedule.event_at(segment)
             if event is None:
                 continue
             bound = self.buffer_range[(name, event.buffer)]
@@ -356,16 +356,6 @@ class _CoreState:
         indices = self.tiles[segment - 1]
         box = tile_box(self.component, indices, self.solution.tile_sizes)
         self._run_tile(box, views)
-
-    @staticmethod
-    def _current_event(schedule: ArraySwapSchedule, segment: int):
-        current = None
-        for event in schedule.events:
-            if event.segment <= segment:
-                current = event
-            else:
-                break
-        return current
 
     def _run_tile(self, box, views) -> None:
         order = list(self.component.band_vars)

@@ -16,6 +16,13 @@ everything the makespan evaluator and the code generator need:
   after the final segment), plus the PREM API costs charged to each
   execution phase.
 
+This module is the one copy of the segment legality rules (SPM fit,
+segment cap, Section 5.3.1's write overlap): the batch evaluator
+(``repro.opt.vectorized``) calls :meth:`SegmentPlanner.preflight`
+instead of keeping its own, and the memos both paths share live here —
+array plans per tile-size vector in the planner, the
+separating-dimension test in :class:`ArrayGeometry`.
+
 Slot convention: the DMA op in slot ``s`` of core ``i`` runs between the
 executions of segments ``s-2`` and ``s-1``..``s`` — it may start once
 ``exec(i, s-2)`` has finished and typically overlaps ``exec(i, s-1)``.
@@ -159,6 +166,7 @@ class ArrayGeometry:
         self._bounding: Dict[Tuple, Tuple[int, ...]] = {}
         self._range: Dict[Tuple, Tuple[Tuple[int, ...], float, int]] = {}
         self._exec: Dict[Tuple[int, ...], float] = {}
+        self._separating: Dict[Tuple[str, int, int], bool] = {}
 
     def key_vars(self, name: str) -> Tuple[str, ...]:
         """Band iterators that can move *name*'s hull: those appearing in
@@ -260,6 +268,74 @@ class ArrayGeometry:
                           crange.bytes)
             self._range[key] = cached
         return cached
+
+    def has_separating_dim(self, name: str, level: int,
+                           tile_k: int) -> bool:
+        """A dimension whose subscript depends (among band and outer vars)
+        only on level *level*'s iterator with one common coefficient, and
+        whose full-tile hull extent does not exceed the shift between
+        adjacent tiles of size *tile_k*.
+
+        The extent accounts for constant spread across accesses (e.g.
+        ``c_F[t]`` written and ``c_F[t-1]`` read make the hull two rows
+        tall, so adjacent t-tiles of size 1 overlap) and for widening by
+        inner (folded) iterators.
+        """
+        key = (name, level, tile_k)
+        cached = self._separating.get(key)
+        if cached is None:
+            cached = self._separates(name, level, tile_k)
+            self._separating[key] = cached
+        return cached
+
+    def _separates(self, array_name: str, level: int, tile_k: int) -> bool:
+        band = set(self.component.band_vars)
+        node = self.component.nodes[level]
+        var = node.var
+        accesses = [a for _, a in self.component.accesses(array_name)]
+        ndim = accesses[0].array.ndim
+        inner_box = self.component.full_inner_box()
+        for dim in range(ndim):
+            first = accesses[0].indices[dim]
+            coeff = first.coeff(var)
+            if coeff == 0:
+                continue
+            # Outer-iterator terms are constant within one component
+            # execution; they must match across accesses to cancel out.
+            outer_sig = {
+                v: c for v, c in first.coeffs.items()
+                if v != var and v not in band and v not in inner_box
+            }
+            ok = True
+            widen = 0
+            consts = []
+            for access in accesses:
+                expr = access.indices[dim]
+                consts.append(expr.constant)
+                sig = {}
+                for other, c in expr.coeffs.items():
+                    if other == var:
+                        if c != coeff:
+                            ok = False
+                    elif other in band:
+                        # moves with another tiled level too: reject.
+                        ok = False
+                    elif other in inner_box:
+                        lo, hi = inner_box[other]
+                        widen = max(widen, abs(c) * (hi - lo))
+                    else:
+                        sig[other] = c
+                if sig != outer_sig:
+                    ok = False
+            if not ok:
+                continue
+            spread = max(consts) - min(consts)
+            shift = abs(coeff) * tile_k * node.S
+            extent = (abs(coeff) * (tile_k - 1) * node.S
+                      + spread + widen + 1)
+            if shift >= extent:
+                return True
+        return False
 
     def exec_estimate(self, widths: Tuple[int, ...]) -> float:
         """Execution-phase estimate for one tile of the given widths, ns."""
@@ -369,26 +445,33 @@ class SegmentPlanner:
         self.modes = dict(modes) if modes else classify_modes(component)
         self.geometry = geometry or ArrayGeometry(
             component, platform, exec_model)
+        #: Tile-size vector -> :meth:`_array_plans`' (plans, SPM bytes).
+        self._by_sizes: Dict[Tuple[int, ...],
+                             Tuple[Dict[str, ArrayPlan], int]] = {}
 
     # -- public -----------------------------------------------------------
 
     def preflight(self, solution: Solution,
-                  max_segments_per_core: Optional[int] = None
+                  max_segments_per_core: Optional[int] = None,
+                  segments: Optional[int] = None
                   ) -> Tuple[Dict[str, ArrayPlan], int]:
         """Feasibility gates of :meth:`plan`, without the core walks.
 
         Returns ``(array_plans, spm_bytes_needed)`` and raises
         :class:`PlanError` exactly when :meth:`plan` would — the hook
         batch evaluators use to separate exact infeasibility from the
-        per-segment schedule construction."""
-        if max_segments_per_core is not None and \
-                solution.max_segments_per_core() > max_segments_per_core:
-            raise PlanError(
-                f"{solution.max_segments_per_core()} segments/core exceeds "
-                f"the evaluation cap {max_segments_per_core}")
+        per-segment schedule construction.  *segments* is the
+        solution's ``max_segments_per_core()`` when the caller already
+        has it (the batch evaluator computes it for a whole batch)."""
+        if max_segments_per_core is not None:
+            if segments is None:
+                segments = solution.max_segments_per_core()
+            if segments > max_segments_per_core:
+                raise PlanError(
+                    f"{segments} segments/core exceeds "
+                    f"the evaluation cap {max_segments_per_core}")
 
-        array_plans = self._array_plans(solution)
-        spm_needed = 2 * sum(p.bounding_bytes for p in array_plans.values())
+        array_plans, spm_needed = self._array_plans(solution)
         if spm_needed > self.platform.spm_bytes:
             raise PlanError(
                 f"solution needs {spm_needed} B of SPM "
@@ -419,18 +502,30 @@ class SegmentPlanner:
 
     # -- shared facts -----------------------------------------------------
 
-    def _array_plans(self, solution: Solution) -> Dict[str, ArrayPlan]:
-        plans: Dict[str, ArrayPlan] = {}
-        sizes = solution.tile_sizes
-        for name, array in self.component.arrays().items():
-            plans[name] = ArrayPlan(
-                array=array,
-                mode=self.modes[name],
-                relevant_levels=self.geometry.relevant_levels(name, sizes),
-                bounding_shape=self.geometry.bounding_shape(name, sizes),
-                swap_api=swap_api_name(array.ndim),
-            )
-        return plans
+    def _array_plans(self, solution: Solution
+                     ) -> Tuple[Dict[str, ArrayPlan], int]:
+        """Per-array plans and the double-buffered SPM bytes they need.
+
+        Both depend on the tile-size vector alone, which candidate
+        searches revisit constantly, so they are memoized by it."""
+        sizes_key = tuple(level.K for level in solution.levels)
+        entry = self._by_sizes.get(sizes_key)
+        if entry is None:
+            plans: Dict[str, ArrayPlan] = {}
+            sizes = solution.tile_sizes
+            for name, array in self.component.arrays().items():
+                plans[name] = ArrayPlan(
+                    array=array,
+                    mode=self.modes[name],
+                    relevant_levels=self.geometry.relevant_levels(
+                        name, sizes),
+                    bounding_shape=self.geometry.bounding_shape(name, sizes),
+                    swap_api=swap_api_name(array.ndim),
+                )
+            entry = (plans,
+                     2 * sum(p.bounding_bytes for p in plans.values()))
+            self._by_sizes[sizes_key] = entry
+        return entry
 
     def _check_write_disjointness(self, solution: Solution,
                                   plans: Mapping[str, ArrayPlan]) -> None:
@@ -451,69 +546,11 @@ class SegmentPlanner:
                 level = solution.levels[level_idx]
                 if level.M == 1 and level.R == 1:
                     continue   # the level never advances
-                if not self._has_separating_dim(
-                        name, band[level_idx], level.K, solution):
+                if not self.geometry.has_separating_dim(
+                        name, level_idx, level.K):
                     raise PlanError(
                         f"written array {name} has overlapping but unequal "
                         f"ranges across tiles of level {band[level_idx]}")
-
-    def _has_separating_dim(self, array_name: str, var: str, tile_k: int,
-                            solution: Solution) -> bool:
-        """A dimension whose subscript depends (among band and outer vars)
-        only on *var* with one common coefficient, and whose full-tile
-        hull extent does not exceed the shift between adjacent tiles.
-
-        The extent accounts for constant spread across accesses (e.g.
-        ``c_F[t]`` written and ``c_F[t-1]`` read make the hull two rows
-        tall, so adjacent t-tiles of size 1 overlap) and for widening by
-        inner (folded) iterators.
-        """
-        band = set(self.component.band_vars)
-        node = next(n for n in self.component.nodes if n.var == var)
-        accesses = [a for _, a in self.component.accesses(array_name)]
-        ndim = accesses[0].array.ndim
-        inner_box = self.component.full_inner_box()
-        for dim in range(ndim):
-            first = accesses[0].indices[dim]
-            coeff = first.coeff(var)
-            if coeff == 0:
-                continue
-            # Outer-iterator terms are constant within one component
-            # execution; they must match across accesses to cancel out.
-            outer_sig = {
-                v: c for v, c in first.coeffs.items()
-                if v != var and v not in band and v not in inner_box
-            }
-            ok = True
-            widen = 0
-            consts = []
-            for access in accesses:
-                expr = access.indices[dim]
-                consts.append(expr.constant)
-                sig = {}
-                for other, c in expr.coeffs.items():
-                    if other == var:
-                        if c != coeff:
-                            ok = False
-                    elif other in band:
-                        # moves with another tiled level too: reject.
-                        ok = False
-                    elif other in inner_box:
-                        lo, hi = inner_box[other]
-                        widen = max(widen, abs(c) * (hi - lo))
-                    else:
-                        sig[other] = c
-                if sig != outer_sig:
-                    ok = False
-            if not ok:
-                continue
-            spread = max(consts) - min(consts)
-            shift = abs(coeff) * tile_k * node.S
-            extent = (abs(coeff) * (tile_k - 1) * node.S
-                      + spread + widen + 1)
-            if shift >= extent:
-                return True
-        return False
 
     # -- per-core planning ----------------------------------------------------
 

@@ -1,7 +1,7 @@
 """PREM schedule evaluation: phase DAG, pipeline recurrence, makespan."""
 
 from .dag import build_phase_dag, dag_makespan
-from .gantt import PhaseSpan, render_gantt, schedule_spans
+from .gantt import render_gantt, schedule_spans
 from .makespan import (
     DEFAULT_SEGMENT_CAP,
     MakespanEvaluator,
@@ -22,7 +22,7 @@ from .validate import (
 
 __all__ = [
     "build_phase_dag", "dag_makespan",
-    "PhaseSpan", "render_gantt", "schedule_spans",
+    "render_gantt", "schedule_spans",
     "DEFAULT_SEGMENT_CAP", "MakespanEvaluator", "MakespanResult",
     "PipelineOp", "PipelineResult", "evaluate_pipeline", "static_timeline",
     "ExactExecModel", "ValidationResult", "validate_static",

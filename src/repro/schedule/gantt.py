@@ -1,80 +1,27 @@
 """Text Gantt rendering of a PREM schedule (Figure 3.4-style timelines).
 
-Replays the pipeline recurrence while recording the start/end of every
-phase, then renders per-lane timelines: one lane per core's execution
-phases and one lane for the shared DMA.  Useful for inspecting how well
-memory phases hide behind execution and where the DMA serialises cores.
+Takes the start/end of every phase from the pipeline recurrence's one
+copy, :func:`~repro.schedule.pipeline.static_timeline`, then renders
+per-lane timelines: one lane per core's execution phases and one lane
+for the shared DMA.  Useful for inspecting how well memory phases hide
+behind execution and where the DMA serialises cores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..prem.segments import CoreSchedule
+from .pipeline import PipelineOp, static_timeline
 
 
-@dataclass(frozen=True)
-class PhaseSpan:
-    """One scheduled phase occurrence."""
-
-    kind: str          # "init" | "exec" | "mem"
-    core: int
-    index: int         # segment number or DMA slot
-    start_ns: float
-    end_ns: float
-
-    @property
-    def length_ns(self) -> float:
-        return self.end_ns - self.start_ns
-
-
-def schedule_spans(cores: Sequence[CoreSchedule]) -> List[PhaseSpan]:
-    """All phase spans of one component execution, in start order.
-
-    Mirrors :func:`repro.schedule.pipeline.evaluate_pipeline` exactly; the
-    test-suite cross-checks that the last span ends at the makespan.
-    """
-    active = [core for core in cores if core.n_segments > 0]
-    spans: List[PhaseSpan] = []
-    if not active:
-        return spans
-
-    exec_end: Dict[int, List[float]] = {}
-    slot_end: Dict[int, Dict[int, float]] = {}
-    for core in active:
-        spans.append(PhaseSpan("init", core.core, 0, 0.0, core.init_api_ns))
-        exec_end[core.core] = [core.init_api_ns]
-        slot_end[core.core] = {}
-
-    dma_clock = 0.0
-    max_slots = max(core.n_segments + 2 for core in active)
-    for slot in range(1, max_slots + 1):
-        for core in active:
-            if slot > core.n_segments + 2:
-                continue
-            length = core.mem_slot_ns[slot - 1]
-            if length <= 0.0:
-                continue
-            ends = exec_end[core.core]
-            gate_idx = min(max(slot - 2, 0), len(ends) - 1)
-            start = max(dma_clock, ends[gate_idx])
-            dma_clock = start + length
-            slot_end[core.core][slot] = dma_clock
-            spans.append(
-                PhaseSpan("mem", core.core, slot, start, dma_clock))
-        for core in active:
-            if slot > core.n_segments:
-                continue
-            ends = exec_end[core.core]
-            ready = ends[-1]
-            dep = core.dep_slot[slot - 1]
-            if dep:
-                ready = max(ready, slot_end[core.core].get(dep, 0.0))
-            finish = ready + core.exec_ns[slot - 1]
-            spans.append(PhaseSpan("exec", core.core, slot, ready, finish))
-            ends.append(finish)
-
+def schedule_spans(cores: Sequence[CoreSchedule]) -> List[PipelineOp]:
+    """All phase spans of one component execution, in start order: each
+    active core's initialisation segment (kind ``"init"``) plus the
+    pipeline's own :func:`~repro.schedule.pipeline.static_timeline`."""
+    spans = [PipelineOp("init", core.core, 0, 0.0, core.init_api_ns)
+             for core in cores if core.n_segments > 0]
+    spans.extend(static_timeline(cores))
     spans.sort(key=lambda s: (s.start_ns, s.core, s.kind))
     return spans
 

@@ -39,7 +39,8 @@ class PipelineResult:
 class PipelineOp:
     """One scheduled operation of the evaluated pipeline timeline."""
 
-    kind: str           # "mem" (DMA op in a slot) or "exec" (segment)
+    kind: str           # "mem" (DMA op in a slot), "exec" (segment) or
+                        # "init" (initialisation segment, Gantt only)
     core: int
     index: int          # slot number (mem) or segment number (exec)
     start_ns: float

@@ -269,7 +269,8 @@ class TestShardCli:
 
         assert main(["shard", "status", "--cache-dir", str(shared)]) == 0
         status = capsys.readouterr().out
-        assert "3/3 chunks done" in status
+        # Each space's line names the component it searched.
+        assert "(n, k, p, q, c): 3/3 chunks done" in status
 
         assert main(["shard-reduce"] + self.BASE +
                     ["--cache-dir", str(shared)]) == 0
