@@ -59,7 +59,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .compiler import STRATEGIES, PremCompiler
+from .compiler import STRATEGIES, PremCompiler, validate_budget
 from .errors import KernelConfigError, ReproError
 from .faults.scenarios import sample_scenarios
 from .kernels import KERNELS, PRESET_NAMES, make_kernel
@@ -340,7 +340,9 @@ def cmd_compile(args) -> int:
                 "search instead)")
         kernel = make_kernel(args.kernel, args.preset)
         result = _compiler(args, args.seed).compile_fallback(
-            kernel, cores=args.cores, stage_budget_s=args.stage_budget,
+            kernel, cores=args.cores,
+            stage_budget_s=_checked("--stage-budget", args.stage_budget,
+                                    validate_budget),
             fission=args.fission)
     else:
         result = _compile(args, args.seed)

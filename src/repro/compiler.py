@@ -75,6 +75,16 @@ STRATEGIES = {
 }
 
 
+def validate_budget(budget_s: Optional[float]) -> Optional[float]:
+    """*budget_s* unchanged when it is None (no deadline) or a finite
+    number of seconds >= 0; :class:`ValueError` otherwise."""
+    if budget_s is not None and not 0 <= budget_s < math.inf:
+        raise ValueError(
+            f"budget must be a finite number of seconds >= 0, "
+            f"got {budget_s}")
+    return budget_s
+
+
 @dataclass
 class CompiledComponent:
     """One scheduled component of the compiled program."""
@@ -275,7 +285,8 @@ class PremCompiler:
         (``None``: unlimited); a search still running when it expires
         raises :class:`repro.errors.OptimizerTimeout`, the cooperative
         per-stage timeout of :meth:`compile_fallback`.  The deadline
-        stays armed inside worker processes.
+        stays armed inside worker processes.  A negative or non-finite
+        budget raises :class:`ValueError`.
 
         *shards* — ``(index, count)`` — restricts every component's
         candidate walk to shard *index* of *count* (zero-based) for
@@ -301,6 +312,7 @@ class PremCompiler:
         """
         if cores is not None and cores < 1:
             raise ValueError(f"cores must be positive, got {cores}")
+        validate_budget(budget_s)
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r} "
                              f"(known: {', '.join(STRATEGIES)})")
@@ -369,8 +381,10 @@ class PremCompiler:
         stage reuse makespans an earlier, timed-out stage already paid
         for.  *fission* as in :meth:`compile`: with ``"auto"`` the
         pre-pass runs once up front and every stage compiles the
-        distributed kernel.
+        distributed kernel.  *stage_budget_s* is checked like
+        :meth:`compile`'s *budget_s*, before any stage runs.
         """
+        validate_budget(stage_budget_s)
         kernel, tree, fission_result = self._front_end(kernel, tree, fission)
         attempts: List[StageAttempt] = []
         for strategy in strategies:

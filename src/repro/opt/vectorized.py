@@ -6,8 +6,14 @@ time: ``SegmentPlanner.plan`` walks each core's odometer in Python and
 This module evaluates *batches* of candidates instead: a whole slice of
 the search space (tile-size points sharing one thread-group assignment)
 is materialized as numpy tensors of shape ``(candidates, cores, slots)``
-and the planner's slot-assignment rules plus the pipeline recurrence run
-once over the whole batch.
+and the planner's slot-assignment rules run once over the whole batch.
+The pipeline recurrence then runs one of two ways.  A chunk of at most
+``NARROW_CHUNK`` candidates — Algorithm 1's probe pairs and window
+scans — cuts each candidate's core schedules out of the tensors and
+calls the one ``evaluate_pipeline``; a wider chunk — the pruned and
+robust walks' windows — runs the recurrence over all candidates in
+lockstep, one numpy step per (slot, core), which only pays off across
+many lanes.
 
 The vector model is **exact**, not a bound (contrast ``repro.opt.bounds``
 which re-associates sums into closed forms and therefore needs a safety
@@ -50,14 +56,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import OptimizerTimeout
-from ..prem.segments import RO, RW, PlanError
+from ..prem.segments import RO, RW, CoreSchedule, PlanError
 from ..schedule.makespan import MakespanEvaluator, MakespanResult
+from ..schedule.pipeline import evaluate_pipeline
 from .solution import Solution
 
 #: Cell budget of one batch tensor (candidates × cores × padded slots).
 #: At float64 this caps each of the ~8 live tensors near 4 MiB; a single
 #: candidate at the default 8192-segment evaluation cap still fits.
 DEFAULT_MAX_CELLS = 1 << 19
+
+#: Chunks of at most this many candidates are scored by the one
+#: ``evaluate_pipeline``, one candidate at a time; wider chunks run the
+#: lockstep recurrence, whose per-step numpy overhead only pays off
+#: across many lanes.
+NARROW_CHUNK = 8
 
 
 class BatchEvaluator:
@@ -472,6 +485,11 @@ class BatchEvaluator:
                 bit, rem[:, None, j:j + 1], K[:, None, j:j + 1]))
         cycles = evaluator.exec_model.estimate_batch(width_arrays)
         exec_ns = cycles * platform.ns_per_cycle + api
+        transferred = load_total + unload_total
+
+        if B <= NARROW_CHUNK:
+            return self._pipeline_makespans(
+                init, exec_ns, mem, dep, n_pc), transferred
 
         # Event-driven recurrence, all candidates in lockstep.  The DMA
         # clock chains through (slot, core) in round-robin order, so
@@ -533,7 +551,24 @@ class BatchEvaluator:
 
         makespan = np.maximum(
             e_hist[:, S, :].max(axis=0), slot_end.max(axis=(0, 1)))
-        return makespan, load_total + unload_total
+        return makespan, transferred
+
+    @staticmethod
+    def _pipeline_makespans(init, exec_ns, mem, dep, n_pc) -> np.ndarray:
+        """Each candidate's makespan from the one ``evaluate_pipeline``,
+        over core schedules cut from the chunk's tensors."""
+        init_l, exec_l, mem_l, dep_l, n_l = (
+            init.tolist(), exec_ns.tolist(), mem.tolist(), dep.tolist(),
+            n_pc.tolist())
+        makespans = np.empty(len(n_l))
+        for b, counts in enumerate(n_l):
+            makespans[b] = evaluate_pipeline([
+                CoreSchedule(
+                    core=i, n_segments=n, init_api_ns=init_l[b][i],
+                    exec_ns=exec_l[b][i][:n], mem_slot_ns=mem_l[b][i][:n + 2],
+                    dep_slot=dep_l[b][i][:n])
+                for i, n in enumerate(counts) if n > 0]).makespan_ns
+        return makespans
 
 
 __all__ = ["BatchEvaluator", "DEFAULT_MAX_CELLS", "OptimizerTimeout"]

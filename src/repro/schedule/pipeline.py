@@ -14,12 +14,20 @@ where ``M`` are DMA (memory-phase) completions in round-robin order
 ``dep_slot`` points at the slot whose transfers segment ``s`` needs.
 :mod:`repro.schedule.dag` builds the explicit DAG for inspection and as a
 cross-check; this module is the fast evaluator used inside the optimizer.
+
+:func:`evaluate_pipeline` is the one copy of the recurrence: the
+serial evaluator, the Gantt renderer, the fault replay and the batch
+scorer's narrow chunks (:mod:`repro.opt.vectorized`) all call it.  It
+runs once per scored candidate, so its loop keeps per-core state in
+flat lists and compares floats inline instead of calling ``max``;
+``tests/schedule/data/pipeline_corpus.json`` pins its outputs bit for
+bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..prem.segments import CoreSchedule
 
@@ -77,57 +85,69 @@ def evaluate_pipeline(cores: Sequence[CoreSchedule],
     if not active:
         return PipelineResult(0.0, 0.0, 0.0, 0.0, 0.0)
 
-    exec_end: Dict[int, List[float]] = {}
-    slot_end: Dict[int, Dict[int, float]] = {}
+    # Per-lane state in flat lists: ends[s] is the completion of
+    # segment s (ends[0] the initialisation segment) and slot_end[s] of
+    # the DMA op in slot s; a slot without an op keeps 0.0, the value a
+    # dependency on it reads.
+    mem_lanes = []
+    exec_lanes = []
     for core in active:
-        # exec_end[core][0] is the initialisation segment.
-        exec_end[core.core] = [core.init_api_ns]
-        slot_end[core.core] = {}
+        n = core.n_segments
+        ends = [core.init_api_ns] + [0.0] * n
+        slot_end = [0.0] * (n + 3)
+        mem_lanes.append((n + 2, core.core, core.mem_slot_ns, ends,
+                          slot_end))
+        exec_lanes.append((n, core.core, core.exec_ns, core.dep_slot, ends,
+                           slot_end))
 
+    # ``b if b > a else a`` is ``max(a, b)``, ties keeping *a*, without
+    # the builtin call.
     dma_clock = 0.0
     dma_busy = 0.0
-    max_slots = max(core.n_segments + 2 for core in active)
-
-    for slot in range(1, max_slots + 1):
+    for slot in range(1, max(lane[0] for lane in mem_lanes) + 1):
+        k = slot - 1
+        gate_idx = slot - 2 if slot > 2 else 0
         # Round-robin DMA pass for this slot.
-        for core in active:
-            if slot > core.n_segments + 2:
+        for last, core_id, mem_ns, ends, slot_end in mem_lanes:
+            if slot > last:
                 continue
-            length = core.mem_slot_ns[slot - 1]
+            length = mem_ns[k]
             if length <= 0.0:
                 continue
             if injector is not None:
-                length = injector.mem_ns(core.core, slot, length)
-            ends = exec_end[core.core]
-            gate_idx = min(max(slot - 2, 0), len(ends) - 1)
-            start = max(dma_clock, ends[gate_idx])
+                length = injector.mem_ns(core_id, slot, length)
+            gate = ends[gate_idx]
+            start = gate if gate > dma_clock else dma_clock
             dma_clock = start + length
             dma_busy += length
-            slot_end[core.core][slot] = dma_clock
+            slot_end[slot] = dma_clock
             if timeline is not None:
                 timeline.append(PipelineOp(
-                    "mem", core.core, slot, start, dma_clock))
+                    "mem", core_id, slot, start, dma_clock))
         # Execution phases for segment == slot.
-        for core in active:
-            if slot > core.n_segments:
+        for n, core_id, exec_ns, dep_slot, ends, slot_end in exec_lanes:
+            if slot > n:
                 continue
-            ends = exec_end[core.core]
-            ready = ends[-1]
-            dep = core.dep_slot[slot - 1]
+            ready = ends[k]
+            dep = dep_slot[k]
             if dep:
-                ready = max(ready, slot_end[core.core].get(dep, 0.0))
-            length = core.exec_ns[slot - 1]
+                done = slot_end[dep]
+                if done > ready:
+                    ready = done
+            length = exec_ns[k]
             if injector is not None:
-                length = injector.exec_ns(core.core, slot, length)
-            ends.append(ready + length)
+                length = injector.exec_ns(core_id, slot, length)
+            end = ends[slot] = ready + length
             if timeline is not None:
                 timeline.append(PipelineOp(
-                    "exec", core.core, slot, ready, ends[-1]))
+                    "exec", core_id, slot, ready, end))
 
-    exec_finish = max(exec_end[core.core][-1] for core in active)
-    dma_finish = max(
-        (max(slots.values()) for slots in slot_end.values() if slots),
-        default=0.0)
+    exec_finish = max(ends[n] for n, _, _, _, ends, _ in exec_lanes)
+    # No DMA op is shorter than 0 (the planner emits positive lengths and
+    # an injector scales them by a factor >= 0 or adds a stall >= 0), so
+    # the clock never decreases and its final value is the last memory
+    # phase's completion (0.0 with none).
+    dma_finish = dma_clock
     makespan = max(exec_finish, dma_finish)
     exec_busy = max(
         core.init_api_ns + core.exec_ns_total for core in active)

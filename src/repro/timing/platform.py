@@ -9,6 +9,7 @@ streaming-model paper [Soliman et al., RTSS'19], normalised to 1 GHz.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, Mapping
@@ -73,8 +74,23 @@ class Platform:
             raise ValueError("cores must be positive")
         if self.spm_bytes <= 0 or self.burst_bytes <= 0:
             raise ValueError("spm_bytes and burst_bytes must be positive")
-        if self.bus_bytes_per_s <= 0:
-            raise ValueError("bus speed must be positive")
+        # Written so NaN fails every check: comparisons with it are False.
+        if not 0 < self.bus_bytes_per_s < math.inf:
+            raise ValueError(
+                f"bus speed must be positive and finite, got "
+                f"{self.bus_bytes_per_s}")
+        if not 0 < self.freq_hz < math.inf:
+            raise ValueError(
+                f"freq_hz must be positive and finite, got {self.freq_hz}")
+        if not 0 <= self.dma_line_overhead_ns < math.inf:
+            raise ValueError(
+                f"DMA overhead must be non-negative and finite, got "
+                f"{self.dma_line_overhead_ns}")
+        for name, cost in self.api_wcet_ns.items():
+            if not 0 <= cost < math.inf:
+                raise ValueError(
+                    f"API cost {name!r} must be non-negative and finite, "
+                    f"got {cost}")
 
     @property
     def bus_overhead_ns_per_burst(self) -> float:
@@ -118,8 +134,6 @@ class Platform:
 
     def with_dma_overhead(self, overhead_ns: float) -> "Platform":
         """A copy at a different per-line DMA overhead."""
-        if overhead_ns < 0:
-            raise ValueError("DMA overhead must be non-negative")
         return replace(self, dma_line_overhead_ns=overhead_ns)
 
     def with_timing_scales(self, bus: float = 1.0, dma: float = 1.0,

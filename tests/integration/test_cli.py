@@ -1,5 +1,7 @@
 """CLI smoke tests (fast presets only)."""
 
+import math
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -60,12 +62,24 @@ class TestCommands:
         (["--strategy", "robust", "--spread", "5"], "--spread"),
         (["--spm", "0"], "--spm"),
         (["--cores", "0"], "--cores"),
+        (["--bus", "nan"], "--bus"),
+        (["--bus", "inf"], "--bus"),
+        (["--fallback", "--stage-budget", "-1"], "--stage-budget"),
+        (["--fallback", "--stage-budget", "nan"], "--stage-budget"),
     ])
     def test_bad_values_exit_2(self, argv, flag, capsys):
         assert main(["compile", "cnn", "--preset", "MINI"] + argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {flag} ")
+
+    @pytest.mark.parametrize("budget", [-1.0, math.nan, math.inf])
+    def test_bad_budgets_raise(self, budget):
+        kernel = make_kernel("rnn", "MINI")
+        with pytest.raises(ValueError, match="budget"):
+            PremCompiler().compile(kernel, budget_s=budget)
+        with pytest.raises(ValueError, match="budget"):
+            PremCompiler().compile_fallback(kernel, stage_budget_s=budget)
 
     def test_unknown_strategy_is_named_before_the_shard_rule(self):
         with pytest.raises(ValueError, match="unknown strategy 'prunned'"):

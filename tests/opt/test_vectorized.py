@@ -33,7 +33,7 @@ from repro.opt.pruned import PrunedOptimizer
 from repro.opt.robust import RobustOptimizer
 from repro.opt.solution import Solution
 from repro.opt.threadgroups import generate_nondominated_thread_groups
-from repro.opt.vectorized import BatchEvaluator
+from repro.opt.vectorized import NARROW_CHUNK, BatchEvaluator
 from repro.schedule.makespan import MakespanEvaluator
 from repro.sim.profiler import fit_component_model
 from repro.timing.platform import Platform
@@ -186,6 +186,50 @@ class TestBitExactness:
         results = batch.evaluate_batch(doubled)
         assert ev.evaluations == len(solutions)
         for a, b in zip(results[:len(solutions)], results[len(solutions):]):
+            _assert_bitwise(a, b)
+
+
+class TestChunkWidthThreshold:
+    """Chunks of at most ``NARROW_CHUNK`` candidates are scored by
+    ``evaluate_pipeline``, wider ones by the lockstep loop; both sides
+    of the threshold must equal the serial evaluator bit for bit."""
+
+    @pytest.fixture(scope="class", params=[
+        ("maxpool", ["n", "k", "p", "q", "r"]),
+        ("cnn", ["n", "k", "p", "q", "c"]),
+    ], ids=["maxpool", "cnn"])
+    def feasible(self, request):
+        """One thread-group assignment's feasible SMALL candidates,
+        fewest segments first, few enough segments that each batch
+        below fits one chunk."""
+        name, vars_ = request.param
+        comp, model = _component(name, "SMALL", vars_)
+        with eight_cpus():
+            assignment = next(iter(
+                generate_nondominated_thread_groups(8, comp)))
+        groups, candidate_lists = assignment_candidates(comp, assignment)
+        solutions = [Solution(comp, dict(zip(vars_, sizes)), groups)
+                     for sizes in product(*candidate_lists)]
+        evaluator = MakespanEvaluator(comp, Platform(), model)
+        solutions = [s for s in solutions
+                     if evaluator.evaluate(s).feasible
+                     and s.max_segments_per_core() <= 1000]
+        solutions.sort(key=lambda s: s.max_segments_per_core())
+        return comp, model, solutions
+
+    @pytest.mark.parametrize("size", [1, NARROW_CHUNK, NARROW_CHUNK + 1, 64])
+    def test_batch_equals_serial(self, feasible, size):
+        comp, model, solutions = feasible
+        assert len(solutions) >= 64
+        # Spread the picks over the segment-count range.
+        picks = solutions[::len(solutions) // size][:size]
+        serial_ev = MakespanEvaluator(comp, Platform(), model)
+        serial = [serial_ev.evaluate(s) for s in picks]
+        batch = BatchEvaluator(MakespanEvaluator(comp, Platform(), model))
+        results = batch.evaluate_batch(picks)
+        assert batch.batches == 1            # one chunk, *size* wide
+        assert all(batch.exactness_mask)
+        for a, b in zip(serial, results):
             _assert_bitwise(a, b)
 
 

@@ -1,5 +1,7 @@
 """Platform configuration tests (Section 6.1 defaults, Table 6.1)."""
 
+import math
+
 import pytest
 
 from repro.timing.platform import API_WCET_NS, Platform, bus_speed_gb
@@ -58,6 +60,18 @@ class TestDerived:
             Platform(spm_bytes=0)
         with pytest.raises(ValueError):
             Platform(bus_bytes_per_s=0)
+
+    @pytest.mark.parametrize("field", [
+        "bus_bytes_per_s", "freq_hz", "dma_line_overhead_ns"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_and_negative_timing(self, field, value):
+        with pytest.raises(ValueError):
+            Platform(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_api_costs(self, value):
+        with pytest.raises(ValueError, match="swap_buffer"):
+            Platform(api_wcet_ns={**API_WCET_NS, "swap_buffer": value})
 
     def test_wcet_table_is_copied(self):
         p1, p2 = Platform(), Platform()
