@@ -59,12 +59,12 @@ import os
 import sys
 from typing import List, Optional
 
-from .compiler import STRATEGIES, PremCompiler, validate_budget
+from .compiler import STRATEGIES, PremCompiler, validate_budget, validate_jobs
 from .errors import KernelConfigError, ReproError
 from .faults.scenarios import sample_scenarios
 from .kernels import KERNELS, PRESET_NAMES, make_kernel
 from .loopir import LoopTree
-from .opt.cache import CACHE_ENV, PersistentCache, default_cache_dir
+from .opt.cache import CACHE_ENV, PersistentCache
 from .opt.robust import validate_risk
 from .schedule.gantt import render_gantt
 from .timing.platform import Platform
@@ -246,18 +246,26 @@ def _platform(args) -> Platform:
                     lambda gbs: platform.with_bus(gbs * 1e9))
 
 
+def _cache_dir(args, need: str = "") -> Optional[str]:
+    """``--cache-dir``, else $REPRO_CACHE_DIR, else None (always None
+    under ``--no-cache``); exit 2 instead of None when *need* is set."""
+    directory = None if getattr(args, "no_cache", False) else \
+        getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
+    if not directory and need:
+        raise KernelConfigError(
+            f"{need} needs the shared cache directory: pass --cache-dir "
+            f"or set ${CACHE_ENV}")
+    return directory
+
+
 def _cache(args) -> Optional[PersistentCache]:
     """Persistent cache per the CLI flags, or None.
 
     The cache only activates when a directory is named explicitly
     (``--cache-dir`` or $REPRO_CACHE_DIR) so that plain runs never write
     outside the working tree."""
-    if getattr(args, "no_cache", False):
-        return None
-    directory = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
-    if not directory:
-        return None
-    return PersistentCache(directory)
+    directory = _cache_dir(args)
+    return PersistentCache(directory) if directory else None
 
 
 def _parse_shard(token: str):
@@ -287,10 +295,7 @@ def _shards(args):
         raise KernelConfigError(
             f"--shard needs an enumerated candidate space; --strategy "
             f"{args.strategy} has none (use pruned, robust or pareto)")
-    if _cache(args) is None:
-        raise KernelConfigError(
-            "--shard needs the shared persistent cache: pass --cache-dir "
-            f"or set ${CACHE_ENV}")
+    _cache_dir(args, need="--shard")
     return shards
 
 
@@ -300,7 +305,8 @@ ROBUST_FLAGS = ("scenarios", "risk", "alpha", "spread")
 
 
 def _compiler(args, seed: int = 0, use_cache: bool = True) -> PremCompiler:
-    return PremCompiler(_platform(args), seed=seed, jobs=args.jobs,
+    return PremCompiler(_platform(args), seed=seed,
+                        jobs=_checked("--jobs", args.jobs, validate_jobs),
                         cache=_cache(args) if use_cache else None)
 
 
@@ -444,11 +450,12 @@ def cmd_gantt(args) -> int:
 def cmd_sweep(args) -> int:
     kernel = make_kernel(args.kernel, args.preset)
     tree = LoopTree.build(kernel)
+    jobs = _checked("--jobs", args.jobs, validate_jobs)
     print(f"{'bus GB/s':>10}  {'makespan ns':>16}  {'normalised':>10}")
     for token in args.speeds.split(","):
         speed = float(token)
         compiler = PremCompiler(_platform(args).with_bus(speed * 1e9),
-                                jobs=args.jobs, cache=_cache(args))
+                                jobs=jobs, cache=_cache(args))
         result = compiler.compile(
             kernel, cores=args.cores, strategy=args.strategy, tree=tree)
         print(f"{speed:>10.4f}  {result.makespan_ns:>16,.0f}  "
@@ -507,6 +514,7 @@ def cmd_pareto(args) -> int:
 
     kernel = make_kernel(args.kernel, args.preset)
     platform = _platform(args)
+    jobs = _checked("--jobs", args.jobs, validate_jobs)
     cache = _cache(args)
     weights = _parse_weights(args.weights) if args.weights \
         else DEFAULT_WEIGHTS
@@ -515,7 +523,7 @@ def cmd_pareto(args) -> int:
     def optimize_fn(component, exec_model):
         optimizer = ParetoOptimizer(
             component, platform, exec_model,
-            jobs=args.jobs, cache=cache, weights=weights)
+            jobs=jobs, cache=cache, weights=weights)
         return optimizer.optimize(args.cores)
 
     try:
@@ -617,9 +625,7 @@ def cmd_faults(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    directory = args.cache_dir or os.environ.get(CACHE_ENV) \
-        or default_cache_dir()
-    cache = PersistentCache(directory)
+    cache = PersistentCache(_cache_dir(args))     # None: the default dir
     if args.action == "clear":
         removed = len(cache)
         cache.clear()
@@ -648,10 +654,7 @@ def cmd_shard_reduce(args) -> int:
     shard scored is a cache hit (zero fresh segment plans) and the
     incumbent walk re-runs the exact serial rank, so the reported
     winner is bit-identical to a single-process compile."""
-    if _cache(args) is None:
-        raise KernelConfigError(
-            "shard-reduce needs the shared cache the shard workers "
-            f"wrote: pass --cache-dir or set ${CACHE_ENV}")
+    _cache_dir(args, need="shard-reduce")
     result = _compile(args)
     print(result.opt_result.describe())
     opt = result.opt_result
@@ -666,12 +669,7 @@ def cmd_shard_reduce(args) -> int:
 def cmd_shard(args) -> int:
     from .opt.shard import ShardLog, space_statuses
 
-    directory = args.cache_dir or os.environ.get(CACHE_ENV)
-    if not directory:
-        raise KernelConfigError(
-            "shard status needs the shared cache directory: pass "
-            f"--cache-dir or set ${CACHE_ENV}")
-    log = ShardLog(directory)
+    log = ShardLog(_cache_dir(args, need="shard status"))
     statuses = space_statuses(log)
     if not statuses:
         print(f"no shard coordination records in {log.path}")

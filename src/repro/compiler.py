@@ -85,6 +85,13 @@ def validate_budget(budget_s: Optional[float]) -> Optional[float]:
     return budget_s
 
 
+def validate_jobs(jobs: int) -> int:
+    """*jobs* when it is at least 1 (serial); ValueError otherwise."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return jobs
+
+
 @dataclass
 class CompiledComponent:
     """One scheduled component of the compiled program."""
@@ -241,7 +248,7 @@ class PremCompiler:
         #: Worker-pool width for candidate evaluation (1 = serial) and
         #: the optional persistent cross-run makespan cache; both are
         #: threaded through every optimization strategy.
-        self.jobs = jobs
+        self.jobs = validate_jobs(jobs)
         self.cache = cache
 
     def compile(self, kernel: Kernel, cores: Optional[int] = None,

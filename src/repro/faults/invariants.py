@@ -24,12 +24,13 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..analysis import Diagnostic
+from ..analysis.model import UNLOAD, ArraySwapModel
 from ..errors import InvariantViolationError
 from ..loopir.component import TilableComponent
 from ..opt.solution import Solution
 from ..prem.macros import MacroBuilder
 from ..prem.runtime import VmTrace
-from ..prem.segments import RO, RW, WO, CoreSchedule
+from ..prem.segments import CoreSchedule
 from ..schedule.pipeline import PipelineOp, static_timeline
 
 #: Slack (ns) before a timing overlap counts as a violation.
@@ -59,22 +60,22 @@ class PremInvariantChecker:
 
     def _planned_ops(self, builder: MacroBuilder, core: int,
                      outer: Mapping[str, int]):
-        """(kind, array, buffer, lo, shape) -> planned slots."""
+        """(kind, array, buffer, lo, shape) -> planned slots of the DMA
+        ops each swap schedule expands into (a dataless load rebinds)."""
         planned: Dict[tuple, List[int]] = {}
         for name, schedule in builder.core_schedules(core).items():
-            mode = builder.modes[name]
-            for event in schedule.events:
-                bounds = event.crange.concrete(outer)
-                lo = tuple(b[0] for b in bounds)
-                shape = tuple(b[1] - b[0] + 1 for b in bounds)
-                kind = "load" if mode in (RO, RW) else "rebind"
+            model = ArraySwapModel.from_schedule(schedule)
+            bounds = {event.index: event.crange.concrete(outer)
+                      for event in model.events}
+            for transfer in model.transfers:
+                box = bounds[transfer.event_index]
+                lo = tuple(b[0] for b in box)
+                shape = tuple(b[1] - b[0] + 1 for b in box)
+                kind = "unload" if transfer.op == UNLOAD else \
+                    "load" if transfer.moves_data else "rebind"
                 planned.setdefault(
-                    (kind, name, event.buffer, lo, shape), []).append(
-                        schedule.transfer_slot(event.index))
-                if mode in (WO, RW):
-                    planned.setdefault(
-                        ("unload", name, event.buffer, lo, shape),
-                        []).append(schedule.unload_slot(event.index))
+                    (kind, name, transfer.buffer, lo, shape), []).append(
+                        transfer.slot)
         return planned
 
     def _check_core_trace(self, builder: MacroBuilder, core: int,

@@ -1,4 +1,5 @@
-"""Content-addressed persistent makespan cache.
+"""Content-addressed persistent makespan cache, and the one JSON-lines
+log every file under a cache directory is written through.
 
 Planning a PREM segment schedule for one candidate solution is the hot
 operation of every optimizer in this package; re-running a bench or a CI
@@ -8,8 +9,10 @@ outcomes *across processes and runs*: entries are keyed by a stable
 SHA-256 digest of everything the makespan depends on — component
 structure, platform parameters, fitted execution model, segment cap,
 planner modes, and the solution key — and stored append-only as JSON
-lines, so concurrent readers never see a torn entry and a corrupted
-line degrades to a cache miss instead of an error.
+lines through :class:`JsonLog`, so concurrent readers never see a torn
+entry and a corrupted line (torn, or not UTF-8) degrades to a cache
+miss instead of an error.  The shard coordination log
+(:mod:`repro.opt.shard`) is the same :class:`JsonLog` at a sibling path.
 
 The cache stores only the *outcome* (makespan, feasibility, reason,
 transfer/SPM totals), never the plan object itself: a warm hit skips
@@ -129,6 +132,81 @@ def solution_digest(context_hash: str, key: Tuple) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the log
+
+
+def _line(record: Mapping[str, Any]) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class JsonLog:
+    """One append-only JSON-lines file and the lockfile serialising its
+    writers: the makespan cache and the shard log of a cache directory.
+
+    Appends and rewrites run inside :meth:`locked`, so lines never
+    interleave and read-decide-append is atomic per writer (without
+    ``fcntl``, each append is one short POSIX ``write``).  A line that is
+    not a JSON object — torn mid-append, or not UTF-8 — spoils only
+    itself: :meth:`read` skips and counts it."""
+
+    def __init__(self, path: os.PathLike, lock_path: os.PathLike):
+        self.path = Path(path)
+        self.lock_path = Path(lock_path)
+
+    @contextmanager
+    def locked(self):
+        """Hold the lockfile (creating the directory) for one step."""
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if fcntl is None:
+            yield
+            return
+        with open(self.lock_path, "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            try:
+                yield
+            finally:
+                fcntl.flock(lock, fcntl.LOCK_UN)
+
+    def read(self) -> Tuple[List[Dict[str, Any]], int]:
+        """``(records, bad)``: the JSON-object lines in file order and the
+        count of other non-blank lines; a missing file reads as empty."""
+        try:
+            text = self.path.read_text(errors="replace")
+        except OSError:
+            return [], 0
+        records: List[Dict[str, Any]] = []
+        bad = 0
+        for line in text.splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                record = None
+            if isinstance(record, dict):
+                records.append(record)
+            else:
+                bad += 1
+        return records, bad
+
+    def size(self) -> int:
+        return self.path.stat().st_size if self.path.exists() else 0
+
+    def append(self, record: Mapping[str, Any]) -> None:
+        """Append one record; call inside :meth:`locked`."""
+        with open(self.path, "a") as handle:
+            handle.write(_line(record))
+
+    def rewrite(self, records) -> None:
+        """Atomically replace the file with *records*: readers see the
+        old file or the new one.  Call inside :meth:`locked`."""
+        temp = self.path.with_name(self.path.name + ".compact")
+        temp.write_text("".join(_line(record) for record in records))
+        os.replace(temp, self.path)
+
+
+# ---------------------------------------------------------------------------
 # the store
 
 
@@ -144,8 +222,10 @@ class PersistentCache:
     def __init__(self, directory: Optional[os.PathLike] = None):
         self.directory = Path(directory) if directory is not None \
             else default_cache_dir()
-        self.path = self.directory / CACHE_FILENAME
-        self.lock_path = self.directory / LOCK_FILENAME
+        self.log = JsonLog(self.directory / CACHE_FILENAME,
+                           self.directory / LOCK_FILENAME)
+        self.path = self.log.path
+        self.lock_path = self.log.lock_path
         #: In-memory fingerprint index: digest -> last entry.  Built by
         #: parsing the JSONL exactly once, on the first lookup or store;
         #: every later ``get``/``put``/``stats`` is a dict operation —
@@ -160,37 +240,25 @@ class PersistentCache:
 
     # -- loading ----------------------------------------------------------
 
+    def _adopt(self, records: List[Dict[str, Any]]) -> None:
+        """Fold log records into the index: entries of the current
+        version, the last line per digest winning."""
+        self._entries = {}
+        for entry in records:
+            digest = entry.get("k")
+            if entry.get("v") == CACHE_VERSION and isinstance(digest, str):
+                self._entries[digest] = entry
+        # The bound tally comes after the fold: an upgraded digest
+        # counts as a result.
+        self._bound_count = sum(
+            1 for entry in self._entries.values() if "f" not in entry)
+        self._loaded = True
+
     def _load(self) -> None:
         if self._loaded:
             return
-        self._loaded = True
-        if not self.path.exists():
-            return
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                # Torn line from a crash-interrupted writer: degrade to
-                # a miss for that entry, keep everything else.
-                self.corrupt_lines += 1
-                continue
-            if not isinstance(entry, dict) or \
-                    entry.get("v") != CACHE_VERSION:
-                continue
-            digest = entry.get("k")
-            if isinstance(digest, str):
-                self._entries[digest] = entry
-        # Last line wins above, so the bound tally must come after the
-        # whole log is folded — an upgraded digest counts as a result.
-        self._bound_count = sum(
-            1 for entry in self._entries.values() if "f" not in entry)
+        records, self.corrupt_lines = self.log.read()
+        self._adopt(records)
         if self.corrupt_lines:
             warnings.warn(
                 f"persistent cache {self.path} contained "
@@ -214,11 +282,7 @@ class PersistentCache:
         return entry
 
     def peek_entry(self, digest: str) -> Optional[Dict[str, Any]]:
-        """The stored entry without touching the hit/miss counters.
-
-        The shard reducer classifies every candidate on the list (full
-        result, bound-only, missing); those taxonomy probes are not
-        cache *lookups* and must not skew the hit-rate accounting."""
+        """The stored entry without touching the hit/miss counters."""
         self._load()
         return self._entries.get(digest)
 
@@ -277,25 +341,6 @@ class PersistentCache:
         self._append(digest, entry)
         return True
 
-    @contextmanager
-    def _locked(self):
-        """Hold the sibling lockfile for the duration of one append.
-
-        Serialises concurrent writers (parallel benches, CI shards on a
-        shared cache dir) so partial lines can never interleave.  On
-        platforms without ``fcntl`` the append falls back to unlocked
-        single-``write`` mode, which POSIX appends keep atomic for the
-        short lines written here."""
-        if fcntl is None:
-            yield
-            return
-        with open(self.lock_path, "a") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(lock, fcntl.LOCK_UN)
-
     def _append(self, digest: str, entry: Dict[str, Any]) -> None:
         # Keep the index (and its bound tally) coherent before touching
         # the disk: a result entry shadowing a bound-only one is the
@@ -307,12 +352,8 @@ class PersistentCache:
             self._bound_count += 1
         self._entries[digest] = entry
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            with self._locked():
-                with open(self.path, "a") as handle:
-                    handle.write(
-                        json.dumps(entry, sort_keys=True,
-                                   separators=(",", ":")) + "\n")
+            with self.log.locked():
+                self.log.append(entry)
         except OSError:
             return              # cache is best-effort; keep computing
         self.stores += 1
@@ -328,85 +369,45 @@ class PersistentCache:
         """O(1) snapshot — the bound tally is maintained incrementally
         by the index, not recounted per call."""
         self._load()
-        size = self.path.stat().st_size if self.path.exists() else 0
         return {
             "path": str(self.path),
             "entries": len(self._entries),
             "bound_entries": self._bound_count,
-            "bytes": size,
+            "bytes": self.log.size(),
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
         }
-
-    def reload(self) -> None:
-        """Drop the in-memory index and re-read the log on next access.
-
-        Concurrent processes append entries this process's index has
-        never seen; the shard reducer calls this before merging so the
-        fold covers every worker's published lines."""
-        self._entries = {}
-        self._bound_count = 0
-        self._loaded = False
-        self.corrupt_lines = 0
 
     def compact(self) -> Dict[str, int]:
         """Rewrite the log keeping one line per digest; report savings.
 
         The append-only file grows without bound across warm runs:
         every bound-only entry later upgraded to a full result leaves
-        its superseded line behind, and corrupt (torn) lines linger
-        forever.  Compaction re-reads the file *inside* the writer lock
-        — so lines appended since this process last loaded are folded,
-        not lost — rewrites the surviving entry per digest to a
-        temporary sibling, and atomically replaces the log.  Readers
-        mid-``read_text`` see either the old or the new file, never a
-        mix.  Returns ``lines``/``bytes`` before/after and the
+        its superseded line behind, and corrupt lines linger forever.
+        Compaction re-reads the file *inside* the writer lock — so
+        lines appended since this process last loaded are folded, not
+        lost — and atomically rewrites it with the surviving entry per
+        digest.  Returns ``lines``/``bytes`` before/after and the
         reclaimed difference."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with self._locked():
-            try:
-                text = self.path.read_text()
-            except OSError:
-                text = ""
-            bytes_before = len(text.encode())
-            lines_before = sum(1 for line in text.splitlines()
-                               if line.strip())
-            entries: Dict[str, Dict[str, Any]] = {}
-            for line in text.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    continue
-                if not isinstance(entry, dict) or \
-                        entry.get("v") != CACHE_VERSION:
-                    continue
-                digest = entry.get("k")
-                if isinstance(digest, str):
-                    entries[digest] = entry
-            compacted = "".join(
-                json.dumps(entry, sort_keys=True, separators=(",", ":"))
-                + "\n" for entry in entries.values())
-            temp = self.path.with_suffix(".jsonl.compact")
-            temp.write_text(compacted)
-            os.replace(temp, self.path)
+        with self.log.locked():
+            records, bad = self.log.read()
+            bytes_before = self.log.size()
             # Adopt the folded view: it is at least as fresh as the
             # in-memory index (the lock held off concurrent appends).
-            self._entries = entries
-            self._bound_count = sum(
-                1 for entry in entries.values() if "f" not in entry)
-            self._loaded = True
-            self.corrupt_lines = 0
+            self._adopt(records)
+            self.log.rewrite(self._entries.values())
+            bytes_after = self.log.size()
+        self.corrupt_lines = 0
+        lines_before = len(records) + bad
+        lines_after = len(self._entries)
         return {
             "lines_before": lines_before,
-            "lines_after": len(entries),
-            "lines_reclaimed": lines_before - len(entries),
+            "lines_after": lines_after,
+            "lines_reclaimed": lines_before - lines_after,
             "bytes_before": bytes_before,
-            "bytes_after": len(compacted.encode()),
-            "bytes_reclaimed": bytes_before - len(compacted.encode()),
+            "bytes_after": bytes_after,
+            "bytes_reclaimed": bytes_before - bytes_after,
         }
 
     def clear(self) -> int:
@@ -415,6 +416,5 @@ class PersistentCache:
         removed = len(self._entries)
         self._entries = {}
         self._bound_count = 0
-        if self.path.exists():
-            self.path.unlink()
+        self.path.unlink(missing_ok=True)
         return removed

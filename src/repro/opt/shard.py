@@ -3,18 +3,19 @@
 ``compile --shard I/N`` workers — possibly on different machines — share
 nothing but a directory: the persistent JSONL makespan cache
 (``makespan-cache.jsonl``) plus one sibling coordination log
-(``shard-coord.jsonl``).  There is no server and no wire protocol; every
-coordination primitive is an fcntl-locked append to the log, exactly the
-discipline :class:`~repro.opt.cache.PersistentCache` already uses for
-result entries (DESIGN.md §13).
+(``shard-coord.jsonl``).  There is no server and no wire protocol: both
+files are a :class:`~repro.opt.cache.JsonLog`, and every coordination
+step is one fcntl-locked read-decide-append transaction on the log
+(DESIGN.md §13).
 
 Each worker walks the round-robin slice ``candidates[i::n]`` of the
 globally sorted candidate list (:class:`~repro.opt.walk.CandidateSpace`)
 and publishes full entries for scored candidates and bound-only entries
 for pruned ones.  Through :class:`StaticShardExchange` a pruned-search
 worker seeds its incumbent with the best feasible rank any sibling has
-published, and appends its own progress and winner records, which
-``shard status`` renders through :func:`space_statuses`.
+published, and appends its space, done and winner records in one
+transaction, which ``shard status`` renders through
+:func:`space_statuses`.
 
 The merge is ``shard-reduce``: one unsharded pruned compile over the
 warm cache.  Soundness: every published makespan is exact, and a
@@ -30,21 +31,16 @@ winner.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..loopir.component import TilableComponent
 from .bounds import flatten_key
-
-try:
-    import fcntl
-except ImportError:                          # pragma: no cover - non-POSIX
-    fcntl = None
+from .cache import JsonLog
 
 #: Coordination log (space, done and winner records) inside the cache dir.
 SHARD_LOG_FILENAME = "shard-coord.jsonl"
@@ -82,101 +78,33 @@ def static_space_id(context_hash: str, count: int) -> str:
     return f"static:{context_hash}:{count}"
 
 
-class ShardLog:
-    """Append-only JSONL coordination log with an fcntl transaction lock.
+def _best_winner(records: Iterable[Dict[str, Any]]) -> Optional[Rank]:
+    """The best rank among *records*' winner records, or None."""
+    return merge_ranks(*(_rank_of(record) for record in records
+                         if record.get("t") == "winner"))
 
-    The log is the only shared mutable state of the shard protocol; all
-    reads used for *decisions* (space announcement, winner publication)
-    happen inside :meth:`transact`, so read-decide-append is one atomic
-    step per writer.  Plain :meth:`records` reads (status display) take
-    the lock only for the read."""
+
+class ShardLog(JsonLog):
+    """The coordination log of one cache directory, the only shared
+    mutable state of the shard protocol.  Reads used for *decisions*
+    (space announcement, winner publication) happen inside
+    :meth:`transact`, so read-decide-append is atomic per writer."""
 
     def __init__(self, directory: os.PathLike):
-        self.directory = Path(directory)
-        self.path = self.directory / SHARD_LOG_FILENAME
-        self.lock_path = self.directory / SHARD_LOCK_FILENAME
+        super().__init__(Path(directory) / SHARD_LOG_FILENAME,
+                         Path(directory) / SHARD_LOCK_FILENAME)
 
     @contextmanager
     def transact(self):
         """Exclusive read-decide-append critical section."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        if fcntl is None:                    # pragma: no cover - non-POSIX
-            yield self._read()
-            return
-        with open(self.lock_path, "a") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)
-            try:
-                yield self._read()
-            finally:
-                fcntl.flock(lock, fcntl.LOCK_UN)
-
-    def _read(self) -> List[Dict[str, Any]]:
-        if not self.path.exists():
-            return []
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return []
-        records = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue      # torn line: skip, like the cache does
-            if isinstance(record, dict):
-                records.append(record)
-        return records
+        with self.locked():
+            yield self.read()[0]
 
     def records(self, space: Optional[str] = None) -> List[Dict[str, Any]]:
         """A consistent snapshot of the log (optionally one space's)."""
         with self.transact() as records:
-            pass
-        if space is None:
-            return records
-        return [r for r in records if r.get("s") == space]
-
-    def append(self, record: Dict[str, Any]) -> None:
-        """Append one record; callers needing atomic read-decide-append
-        must write from inside :meth:`transact` instead."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as handle:
-            handle.write(json.dumps(
-                record, sort_keys=True, separators=(",", ":")) + "\n")
-
-    # -- winner records (shared incumbent snapshots) -----------------------
-
-    def best_winner(self, space: str) -> Optional[Rank]:
-        """The best published ``(makespan, flat key)`` rank, or None."""
-        best: Optional[Rank] = None
-        for record in self.records(space):
-            if record.get("t") != "winner":
-                continue
-            best = merge_ranks(best, _rank_of(record))
-        return best
-
-    def publish_winner(self, space: str, worker: str,
-                       makespan_ns: float, flat: Sequence[int]) -> bool:
-        """Publish a feasible rank if it beats every published one.
-
-        The compare-and-append runs inside one transaction, so two
-        workers racing with different ranks converge on the minimum and
-        equal-rank duplicates are suppressed."""
-        rank: Rank = (float(makespan_ns), tuple(int(x) for x in flat))
-        with self.transact() as records:
-            for record in records:
-                if record.get("t") != "winner" or record.get("s") != space:
-                    continue
-                seen = _rank_of(record)
-                if seen is not None and seen <= rank:
-                    return False
-            self.append({
-                "t": "winner", "s": space, "w": worker,
-                "m": rank[0], "key": list(rank[1]), "ts": time.time(),
-            })
-        return True
+            return [r for r in records
+                    if space is None or r.get("s") == space]
 
 
 @dataclass
@@ -242,7 +170,8 @@ class StaticShardExchange:
     reads the best incumbent any sibling shard of the same component
     (and the same shard count) has published, and :meth:`publish`
     appends the shard's done record — what ``shard status`` counts —
-    plus a winner record when this shard found a feasible best."""
+    plus a winner record when this shard found a better feasible best,
+    in one transaction."""
 
     def __init__(self, directory: os.PathLike, context_hash: str,
                  shards: Tuple[int, int]):
@@ -252,26 +181,38 @@ class StaticShardExchange:
         self.worker = f"shard{self.index + 1}of{self.count}-{os.getpid()}"
 
     def seed(self) -> Optional[Rank]:
-        return self.log.best_winner(self.space)
+        """The best rank any sibling shard published, or None."""
+        return _best_winner(self.log.records(self.space))
 
     def publish(self, component: TilableComponent, result,
                 winner: bool = True) -> None:
-        chunk_id = f"{self.space}:{self.index}"
+        """Append the space record (first shard only), the done record
+        and the winner record in one transaction.  The winner is written
+        only if its rank beats every rank published for the space, so
+        racing shards converge on the minimum without duplicates."""
+        best = result.best
+        rank: Optional[Rank] = None
+        if winner and best is not None and best.feasible:
+            rank = (float(best.makespan_ns),
+                    flatten_key(best.solution.key()))
         with self.log.transact() as records:
-            if not any(r.get("t") == "space" and r.get("s") == self.space
-                       for r in records):
+            mine = [r for r in records if r.get("s") == self.space]
+            if not any(r.get("t") == "space" for r in mine):
                 self.log.append({
                     "t": "space", "s": self.space, "w": self.worker,
                     "chunks": self.count, "component": component.label(),
                     "ts": time.time(),
                 })
             self.log.append({
-                "t": "done", "s": self.space, "c": chunk_id,
+                "t": "done", "s": self.space,
+                "c": f"{self.space}:{self.index}",
                 "i": self.index, "w": self.worker,
                 "scored": result.evaluations, "pruned": result.pruned,
                 "elapsed_s": round(result.elapsed_s, 6), "ts": time.time(),
             })
-        if winner and result.best is not None and result.best.feasible:
-            self.log.publish_winner(
-                self.space, self.worker, result.best.makespan_ns,
-                flatten_key(result.best.solution.key()))
+            seen = _best_winner(mine)
+            if rank is not None and (seen is None or rank < seen):
+                self.log.append({
+                    "t": "winner", "s": self.space, "w": self.worker,
+                    "m": rank[0], "key": list(rank[1]), "ts": time.time(),
+                })

@@ -1,8 +1,11 @@
 """CLI smoke tests (fast presets only)."""
 
+import contextlib
+import io
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import build_parser, main
 from repro.compiler import STRATEGIES, PremCompiler
@@ -66,12 +69,19 @@ class TestCommands:
         (["--bus", "inf"], "--bus"),
         (["--fallback", "--stage-budget", "-1"], "--stage-budget"),
         (["--fallback", "--stage-budget", "nan"], "--stage-budget"),
+        (["--jobs", "0"], "--jobs"),
+        (["--jobs", "-3"], "--jobs"),
     ])
     def test_bad_values_exit_2(self, argv, flag, capsys):
         assert main(["compile", "cnn", "--preset", "MINI"] + argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {flag} ")
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_bad_jobs_raise(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            PremCompiler(jobs=jobs)
 
     @pytest.mark.parametrize("budget", [-1.0, math.nan, math.inf])
     def test_bad_budgets_raise(self, budget):
@@ -355,6 +365,26 @@ class TestShardCli:
                     ["--cache-dir", str(tmp_path)]) == 0
         assert "100.0% of probes" in capsys.readouterr().out
 
+    def test_non_utf8_lines_never_crash(self, tmp_path, capsys):
+        # One undecodable line in each log under the cache directory:
+        # every command that reads them skips it and exits 0.
+        argv = ["compile"] + self.PRUNED + ["--cache-dir", str(tmp_path)]
+        assert main(argv + ["--shard", "1/1"]) == 0
+        clean = _line(capsys.readouterr().out, "makespan")
+        for name in ("makespan-cache.jsonl", "shard-coord.jsonl"):
+            with open(tmp_path / name, "ab") as handle:
+                handle.write(b"\xff\xfe\n")
+        with pytest.warns(RuntimeWarning, match="1 corrupt line"):
+            assert main(argv) == 0
+        assert _line(capsys.readouterr().out, "makespan") == clean
+        with pytest.warns(RuntimeWarning, match="1 corrupt line"):
+            assert main(["cache", "stats",
+                         "--cache-dir", str(tmp_path)]) == 0
+        for command in (["cache", "compact"], ["shard", "status"]):
+            assert main(command + ["--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "(1 reclaimed)" in out and "1/1 chunks done" in out
+
     def test_robust_timing_accepts_shard(self, tmp_path, capsys):
         for shard in ("1/2", "2/2"):
             assert main(["compile"] + self.BASE +
@@ -362,6 +392,47 @@ class TestShardCli:
                          "--shard", shard,
                          "--cache-dir", str(tmp_path)]) == 0
             capsys.readouterr()
+
+
+#: Values on both sides of every numeric bound: zero, negatives, NaN,
+#: infinities and huge magnitudes, beside in-range values.
+WILD = ["0", "-1", "nan", "inf", "-inf", "1e300"]
+
+
+class TestNumericFlags:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        spm=st.sampled_from([None, "1", "8", "128", str(2 ** 40)] + WILD),
+        bus=st.sampled_from([None, "1e-300", "0.25", "16"] + WILD),
+        cores=st.one_of(st.none(), st.integers(-2, 16).map(str),
+                        st.sampled_from(["nan", "inf"])),
+        jobs=st.one_of(st.none(), st.integers(-3, 2).map(str),
+                       st.sampled_from(["nan", "-inf"])),
+        budget=st.sampled_from([None, "5", "1e-300"] + WILD))
+    def test_compile_exits_0_1_or_2(self, spm, bus, cores, jobs, budget):
+        """Whatever the numbers, ``compile`` exits 0, 1 or 2 and raises
+        nothing else; a flag that must be positive exits 2 on a value
+        that is not positive and finite (``--stage-budget`` on one that
+        is negative or not finite)."""
+        positive = {"--spm": spm, "--bus": bus, "--cores": cores,
+                    "--jobs": jobs}
+        argv = ["compile", "rnn", "--preset", "MINI"]
+        argv += [f"{flag}={value}" for flag, value in positive.items()
+                 if value is not None]
+        if budget is not None:
+            argv += ["--fallback", f"--stage-budget={budget}"]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exit_info:       # argparse's own exit
+                code = exit_info.code
+        assert code in (0, 1, 2)
+        if any(value is not None and not 0 < float(value) < math.inf
+               for value in positive.values()):
+            assert code == 2
+        if budget is not None and not 0 <= float(budget) < math.inf:
+            assert code == 2
 
 
 class TestAnalyze:

@@ -267,22 +267,62 @@ class TestCompact:
         assert mine.get("b") is not None
         assert PersistentCache(tmp_path).get("b") is not None
 
-    def test_reload_sees_foreign_appends(self, tmp_path):
-        mine = PersistentCache(tmp_path)
-        mine.put("a", makespan_ns=1.0, feasible=True)
-        assert mine.get("missing-yet") is None    # index loaded
-        other = PersistentCache(tmp_path)
-        other.put("late", makespan_ns=3.0, feasible=True)
-        assert mine.get("late") is None           # stale index
-        mine.reload()
-        assert mine.get("late") is not None
-
     def test_peek_entry_does_not_count_stats(self, tmp_path):
         cache = PersistentCache(tmp_path)
         cache.put("a", makespan_ns=1.0, feasible=True)
         assert cache.peek_entry("a") is not None
         assert cache.peek_entry("nope") is None
         assert cache.hits == 0 and cache.misses == 0
+
+
+class TestCorruptLines:
+    """Every corrupt-line shape degrades to a skipped, counted line."""
+
+    @staticmethod
+    def _corrupted(tmp_path, tail):
+        cache = PersistentCache(tmp_path)
+        cache.put("good", makespan_ns=5.0, feasible=True)
+        with open(cache.path, "ab") as handle:
+            handle.write(tail)
+        return PersistentCache(tmp_path)
+
+    def test_load_warns_and_counts(self, tmp_path, corrupt_tail):
+        tail, bad = corrupt_tail
+        fresh = self._corrupted(tmp_path, tail)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert fresh.get("good") is not None
+        assert fresh.corrupt_lines == bad
+        assert len(fresh) == 1
+        warned = [str(w.message) for w in caught
+                  if issubclass(w.category, RuntimeWarning)]
+        assert len(warned) == (1 if bad else 0)
+        assert all(f"{bad} corrupt line(s)" in text for text in warned)
+
+    def test_compact_drops_bad_lines(self, tmp_path, corrupt_tail):
+        tail, bad = corrupt_tail
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = self._corrupted(tmp_path, tail).compact()
+        assert report["lines_before"] == 1 + bad
+        assert report["lines_after"] == 1
+        assert report["bytes_before"] == \
+            report["bytes_after"] + len(tail)
+        fresh = PersistentCache(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fresh.get("good") is not None
+        assert fresh.corrupt_lines == 0
+        assert fresh.stats()["bytes"] == report["bytes_after"]
+
+    def test_appends_after_a_bad_line_survive(self, tmp_path):
+        fresh = self._corrupted(tmp_path, b"\xff\xfe\n")
+        with pytest.warns(RuntimeWarning, match="1 corrupt line"):
+            fresh.put("late", makespan_ns=7.0, feasible=True)
+        reread = PersistentCache(tmp_path)
+        with pytest.warns(RuntimeWarning, match="1 corrupt line"):
+            assert reread.get("late") is not None
+        assert len(reread) == 2
 
 
 class TestFingerprintIndex:

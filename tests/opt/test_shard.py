@@ -12,6 +12,7 @@ re-scored by the reduce.
 """
 
 import multiprocessing
+from types import SimpleNamespace
 
 import pytest
 
@@ -185,6 +186,79 @@ class TestDoneRecords:
         assert len(status.workers) == 2
         serial = _serial_winner(rnn_small)
         assert status.winner[0] == serial.best.makespan_ns
+
+
+class TestCorruptLog:
+    """The coordination log skips bad lines exactly like the cache."""
+
+    RECORDS = [
+        {"t": "space", "s": "sp", "w": "a", "chunks": 2,
+         "component": "(i)"},
+        {"t": "done", "s": "sp", "c": "sp:0", "i": 0, "w": "a"},
+        {"t": "winner", "s": "sp", "w": "a", "m": 5.0, "key": [1, 2]},
+    ]
+
+    def _corrupted(self, tmp_path, tail):
+        log = ShardLog(tmp_path)
+        with log.locked():
+            for record in self.RECORDS:
+                log.append(record)
+        with open(log.path, "ab") as handle:
+            handle.write(tail)
+        return log
+
+    def test_records_skip_bad_lines(self, tmp_path, corrupt_tail):
+        tail, bad = corrupt_tail
+        log = self._corrupted(tmp_path, tail)
+        assert log.records() == self.RECORDS
+        assert log.records("sp") == self.RECORDS
+        assert log.read() == (self.RECORDS, bad)
+
+    def test_statuses_skip_bad_lines(self, tmp_path, corrupt_tail):
+        status = space_statuses(
+            self._corrupted(tmp_path, corrupt_tail[0]))["sp"]
+        assert (status.component, status.chunks, status.done) == \
+            ("(i)", 2, 1)
+        assert status.winner == (5.0, (1, 2))
+        assert status.workers == ("a",)
+
+
+def _fake_result(makespan_ns, key=(("i", 4, 2),)):
+    """The fields of a search result that a shard publishes."""
+    best = SimpleNamespace(feasible=True, makespan_ns=makespan_ns,
+                           solution=SimpleNamespace(key=lambda: key))
+    return SimpleNamespace(best=best, evaluations=1, pruned=0,
+                           elapsed_s=0.0)
+
+
+class TestPublish:
+    COMPONENT = SimpleNamespace(label=lambda: "(i)")
+
+    def test_one_transaction_per_publish(self, tmp_path, monkeypatch):
+        steps = []
+        locked = ShardLog.locked
+
+        def counting(log):
+            steps.append(log.path)
+            return locked(log)
+
+        monkeypatch.setattr(ShardLog, "locked", counting)
+        StaticShardExchange(tmp_path, "ctx", (0, 2)).publish(
+            self.COMPONENT, _fake_result(10.0))
+        assert len(steps) == 1
+        assert [r["t"] for r in ShardLog(tmp_path).records()] == \
+            ["space", "done", "winner"]
+
+    def test_winner_is_compare_and_append(self, tmp_path):
+        # Equal and worse ranks are suppressed; a better one appends.
+        for index, makespan in enumerate((10.0, 10.0, 12.0, 8.0)):
+            StaticShardExchange(tmp_path, "ctx", (index, 4)).publish(
+                self.COMPONENT, _fake_result(makespan))
+        records = ShardLog(tmp_path).records()
+        assert [r["m"] for r in records if r["t"] == "winner"] == \
+            [10.0, 8.0]
+        assert sum(r["t"] == "done" for r in records) == 4
+        assert sum(r["t"] == "space" for r in records) == 1
 
 
 class TestWorkerReduceParity:
