@@ -6,8 +6,8 @@ Two properties of the Pareto search are measured (DESIGN.md §12):
   reference sweep can still afford (<= 20k points), `ParetoOptimizer`
   must emit the *bit-identical* front with and without the bound-vector
   dominance tier — pruning may only save evaluations, never front
-  members — and every default scalarization winner must lie on the
-  front.
+  members — and the default scalarization winners are picked from
+  that front.
 - P2: the dominance tier must actually fire somewhere in the corpus,
   and the fastest front member must reproduce the single-objective
   (pruned-search) winner on every component.
@@ -26,7 +26,12 @@ from repro.loopir import LoopTree
 from repro.loopir.component import component_at
 from repro.loopir.validity import is_chain_extendable
 from repro.opt import PrunedOptimizer, search_space_size
-from repro.opt.pareto import ParetoOptimizer, dominates_vector
+from repro.opt.pareto import (
+    DEFAULT_WEIGHTS,
+    ParetoOptimizer,
+    dominates_vector,
+    scalarize,
+)
 from repro.reporting import ExperimentReport, engine_note
 from repro.sim.profiler import fit_component_model
 from repro.timing import Platform
@@ -129,9 +134,8 @@ def test_p1_front_exactness_and_cost(frontier_components, benchmark):
         for i, mine in enumerate(vectors):
             for j, other in enumerate(vectors):
                 assert i == j or not dominates_vector(mine, other), label
-        members = {p.flat for p in result.front}
-        for choice in result.scalarized:
-            assert choice.point.flat in members, label
+        scalarized = [scalarize(result.front, weights)
+                      for weights in DEFAULT_WEIGHTS] if result.front else []
         # The fastest front member IS the single-objective winner.
         if single.best is not None and single.best.feasible:
             assert result.front[0].makespan_ns == \
@@ -152,7 +156,7 @@ def test_p1_front_exactness_and_cost(frontier_components, benchmark):
             "pruned": result.pruned,
             "dominance_pruned": result.dominance_pruned,
             "pruned_fraction": round(result.pruned_fraction, 4),
-            "scalarized": len(result.scalarized),
+            "scalarized": len(scalarized),
             "wall_s": round(wall_s, 4),
             "best_makespan_ns": result.front[0].makespan_ns
             if result.front else None,

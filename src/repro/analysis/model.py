@@ -281,13 +281,10 @@ def _dedupe(hulls: List[CanonicalRange]) -> Tuple[CanonicalRange, ...]:
 
 def build_context(component: TilableComponent, solution: Solution,
                   platform: Platform,
-                  plan: Optional[ComponentPlan] = None,
-                  modes: Optional[Mapping[str, str]] = None,
-                  builder: Optional[MacroBuilder] = None
+                  plan: Optional[ComponentPlan] = None
                   ) -> AnalysisContext:
     """Build the analysis model of one compiled component."""
-    builder = builder or MacroBuilder(
-        component, solution, modes=dict(modes) if modes else None)
+    builder = MacroBuilder(component, solution)
     models: Dict[int, Dict[str, ArraySwapModel]] = {}
     deallocs: Dict[int, Dict[str, List[Tuple[int, int]]]] = {}
     for core in range(solution.threads):

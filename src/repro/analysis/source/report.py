@@ -15,7 +15,6 @@ from ...errors import ChainConsistencyError
 from ...loopir.ast import Kernel
 from ...loopir.validity import level_parallel, level_tilable
 from ..diagnostics import DiagnosticBag
-from ..registry import PassRegistry
 from .context import SourceContext, build_source_context
 from .registry import SOURCE_REGISTRY
 
@@ -121,11 +120,8 @@ class SourceReport:
 
 
 def analyze_source(kernel: Kernel,
-                   passes: Optional[Iterable[str]] = None,
-                   registry: Optional[PassRegistry] = None
-                   ) -> SourceReport:
+                   passes: Optional[Iterable[str]] = None) -> SourceReport:
     """Run the PREM5xx passes over *kernel* and wrap the findings."""
-    registry = registry or SOURCE_REGISTRY
     context = build_source_context(kernel)
-    bag = registry.run(context, passes)
+    bag = SOURCE_REGISTRY.run(context, passes)
     return SourceReport(context=context, diagnostics=bag)

@@ -22,11 +22,11 @@ from typing import Iterable, List, Optional, Tuple
 
 from ..loopir.component import TilableComponent
 from ..opt.solution import Solution
-from ..prem.segments import ComponentPlan, PlanError, SegmentPlanner
+from ..prem.segments import PlanError, SegmentPlanner
 from ..timing.platform import Platform
 from .diagnostics import Diagnostic, DiagnosticBag
 from .model import AnalysisContext, build_context
-from .registry import DEFAULT_REGISTRY, PassRegistry
+from .registry import DEFAULT_REGISTRY
 
 
 class _NullExecModel:
@@ -107,31 +107,23 @@ class AnalysisReport:
 class StaticVerifier:
     """Runs every registered analysis pass over compiled artifacts."""
 
-    def __init__(self, platform: Platform,
-                 registry: Optional[PassRegistry] = None):
+    def __init__(self, platform: Platform):
         self.platform = platform
-        self.registry = registry or DEFAULT_REGISTRY
 
     # -- component-level ---------------------------------------------------
 
     def build_context(self, component: TilableComponent,
-                      solution: Solution,
-                      plan: Optional[ComponentPlan] = None
-                      ) -> AnalysisContext:
-        if plan is None:
-            planner = SegmentPlanner(
-                component, self.platform, _NullExecModel())
-            plan = planner.plan(solution)
+                      solution: Solution) -> AnalysisContext:
+        planner = SegmentPlanner(component, self.platform, _NullExecModel())
         return build_context(
-            component, solution, self.platform, plan=plan)
+            component, solution, self.platform, plan=planner.plan(solution))
 
     def verify_component(self, component: TilableComponent,
                          solution: Solution,
-                         plan: Optional[ComponentPlan] = None,
                          passes: Optional[Iterable[str]] = None
                          ) -> ComponentReport:
         try:
-            ctx = self.build_context(component, solution, plan)
+            ctx = self.build_context(component, solution)
         except PlanError as exc:
             bag = DiagnosticBag()
             bag.add(Diagnostic(
@@ -145,7 +137,7 @@ class StaticVerifier:
     def verify_context(self, ctx: AnalysisContext,
                        passes: Optional[Iterable[str]] = None
                        ) -> ComponentReport:
-        bag = self.registry.run(ctx, names=passes)
+        bag = DEFAULT_REGISTRY.run(ctx, names=passes)
         return ComponentReport(
             label=ctx.label, context=ctx, diagnostics=bag)
 

@@ -18,7 +18,9 @@ Commands
 Every command that compiles, except ``pareto``, takes ``--strategy``
 — the component optimizer, one of :data:`repro.compiler.STRATEGIES`
 (default ``heuristic``, Algorithm 1); ``compile --fallback`` instead
-walks the staged ``pruned -> greedy -> sequential`` chain.
+walks the staged ``pruned -> greedy -> sequential`` chain.  ``pareto``
+is ``compile --strategy pareto`` whose ``--weights`` pick the
+scalarized winners it prints.
 
 Exit codes: 0 success, 1 expected failure (infeasible schedule,
 error-severity diagnostics, missed faults), 2 bad invocation (unknown
@@ -166,6 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     pareto = sub.add_parser(
         "pareto", help="exact multi-objective frontier per component")
     add_common(pareto, strategy=False)
+    pareto.set_defaults(strategy="pareto")
     pareto.add_argument(
         "--weights", action="append", default=None, metavar="M,SPM,DMA,C",
         help="scalarization weight vector over (makespan, SPM bytes, "
@@ -235,6 +238,13 @@ def _checked(flag: str, value, check):
         return check(value)
     except ValueError as error:
         raise KernelConfigError(f"{flag} {value}: {error}") from None
+
+
+def _at_least_one(count: int) -> int:
+    """*count* when it is at least 1; ValueError otherwise."""
+    if count < 1:
+        raise ValueError("must be at least 1")
+    return count
 
 
 def _platform(args) -> Platform:
@@ -385,7 +395,9 @@ def cmd_compile(args) -> int:
                 print(f"{choice.component.label()}: "
                       f"{robust_note(choice.result)}")
     if args.strategy == "pareto":
-        _print_frontiers(result.opt_result)
+        from .opt import DEFAULT_WEIGHTS
+
+        _print_frontiers(result.opt_result, DEFAULT_WEIGHTS)
     if args.verify_static:
         report = result.verify_static()
         merged = report.merged
@@ -449,13 +461,16 @@ def cmd_gantt(args) -> int:
 
 def cmd_sweep(args) -> int:
     kernel = make_kernel(args.kernel, args.preset)
-    tree = LoopTree.build(kernel)
     jobs = _checked("--jobs", args.jobs, validate_jobs)
+    base = _platform(args)
+    platforms = [
+        _checked("--speeds", token, lambda gbs: (
+            float(gbs), base.with_bus(float(gbs) * 1e9)))
+        for token in args.speeds.split(",")]
+    tree = LoopTree.build(kernel)
     print(f"{'bus GB/s':>10}  {'makespan ns':>16}  {'normalised':>10}")
-    for token in args.speeds.split(","):
-        speed = float(token)
-        compiler = PremCompiler(_platform(args).with_bus(speed * 1e9),
-                                jobs=jobs, cache=_cache(args))
+    for speed, platform in platforms:
+        compiler = PremCompiler(platform, jobs=jobs, cache=_cache(args))
         result = compiler.compile(
             kernel, cores=args.cores, strategy=args.strategy, tree=tree)
         print(f"{speed:>10.4f}  {result.makespan_ns:>16,.0f}  "
@@ -463,9 +478,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _print_frontiers(opt_result) -> None:
-    """Per-component frontier tables plus the composed kernel front."""
-    from .opt import kernel_front
+def _print_frontiers(opt_result, weights) -> None:
+    """Per-component frontier tables, each front's scalarized winner
+    per weight vector, and the composed kernel front."""
+    from .opt import kernel_front, scalarize
     from .reporting import pareto_note, pareto_table
 
     for choice in opt_result.choices:
@@ -473,11 +489,12 @@ def _print_frontiers(opt_result) -> None:
         if not hasattr(result, "front"):
             continue
         print(f"\n{choice.component.label()}: {pareto_note(result)}")
-        if result.front:
-            print(pareto_table(result.front))
-        for scalar in result.scalarized:
-            weights = ",".join(f"{w:g}" for w in scalar.weights)
-            print(f"  weights ({weights}) -> "
+        if not result.front:
+            continue
+        print(pareto_table(result.front))
+        for scalar in (scalarize(result.front, w) for w in weights):
+            text = ",".join(f"{w:g}" for w in scalar.weights)
+            print(f"  weights ({text}) -> "
                   f"{scalar.point.makespan_ns:,.0f} ns, "
                   f"{scalar.point.spm_bytes:,} B SPM, "
                   f"{scalar.point.dma_bytes:,} B DMA, "
@@ -509,31 +526,15 @@ def _parse_weights(tokens):
 
 
 def cmd_pareto(args) -> int:
-    from .opt import DEFAULT_WEIGHTS, ParetoOptimizer, TreeOptimizer
-    from .opt.exhaustive import SearchSpaceTooLarge
+    """``compile --strategy pareto`` with the frontier report and
+    ``--weights`` for its scalarized winners."""
+    from .opt import DEFAULT_WEIGHTS
 
-    kernel = make_kernel(args.kernel, args.preset)
-    platform = _platform(args)
-    jobs = _checked("--jobs", args.jobs, validate_jobs)
-    cache = _cache(args)
     weights = _parse_weights(args.weights) if args.weights \
         else DEFAULT_WEIGHTS
-    tree = LoopTree.build(kernel)
-
-    def optimize_fn(component, exec_model):
-        optimizer = ParetoOptimizer(
-            component, platform, exec_model,
-            jobs=jobs, cache=cache, weights=weights)
-        return optimizer.optimize(args.cores)
-
-    try:
-        result = TreeOptimizer(tree).optimize(
-            platform, cores=args.cores, optimize_fn=optimize_fn)
-    except SearchSpaceTooLarge as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    print(result.describe())
-    _print_frontiers(result)
+    result = _compile(args)
+    print(result.opt_result.describe())
+    _print_frontiers(result.opt_result, weights)
     return 0 if result.feasible else 1
 
 
@@ -563,6 +564,8 @@ def cmd_analyze(args) -> int:
     passes = None
     if args.passes:
         passes = tuple(token.strip() for token in args.passes.split(","))
+    if args.selftest:
+        _checked("--selftest", args.selftest, _at_least_one)
     if args.source:
         if args.selftest:
             raise KernelConfigError(
@@ -615,7 +618,8 @@ def cmd_faults(args) -> int:
             return 2
     result = run_campaign(
         args.kernel, preset=args.preset, seed=args.seed, kinds=kinds,
-        per_kind=args.per_kind, platform=_platform(args),
+        per_kind=_checked("--per-kind", args.per_kind, _at_least_one),
+        platform=_platform(args),
         strategy=args.strategy)
     print(result.describe())
     for outcome in result.outcomes:

@@ -53,8 +53,8 @@ FALLBACK_CHAIN: Tuple[str, ...] = ("pruned", "greedy", "sequential")
 
 #: Strategy -> (component optimizer, the keywords it takes beyond the
 #: shared ones, shard exchange).  Every optimizer takes the component,
-#: platform and execution model plus ``segment_cap``, ``deadline``,
-#: ``budget_s`` and ``cache``; the listed extras come from the compiler
+#: platform and execution model plus ``deadline``, ``budget_s`` and
+#: ``cache``; the listed extras come from the compiler
 #: (``jobs``, ``seed``) or from the :meth:`PremCompiler.compile` call
 #: (``shard_of`` and the robust knobs).  The exchange is None for
 #: strategies without an enumerated candidate space (they cannot
@@ -133,7 +133,6 @@ class CompilationResult:
     opt_result: TreeOptResult
     strategy: str = "heuristic"
     attempts: List[StageAttempt] = field(default_factory=list)
-    segment_cap: int = DEFAULT_SEGMENT_CAP
     #: Set when the dependence-verified fission pre-pass ran; its
     #: ``original`` field keeps the unfissioned kernel (``self.kernel``
     #: is the distributed one the components were extracted from).
@@ -201,7 +200,7 @@ class CompilationResult:
             if exec_model is not None:
                 planner = SegmentPlanner(
                     compiled.component, self.platform, exec_model)
-                return planner.plan(compiled.solution, self.segment_cap)
+                return planner.plan(compiled.solution, DEFAULT_SEGMENT_CAP)
         raise CompilationError(
             f"no optimizer record for component "
             f"{compiled.component.label()}; cannot reconstruct its plan")
@@ -238,13 +237,11 @@ class PremCompiler:
     """The full toolchain: analysis, optimization, code generation."""
 
     def __init__(self, platform: Platform = DEFAULT_PLATFORM,
-                 machine: MachineModel | None = None, seed: int = 0,
-                 segment_cap: int = DEFAULT_SEGMENT_CAP, jobs: int = 1,
+                 seed: int = 0, jobs: int = 1,
                  cache: Optional[PersistentCache] = None):
         self.platform = platform
-        self.machine = machine or MachineModel()
+        self.machine = MachineModel()
         self.seed = seed
-        self.segment_cap = segment_cap
         #: Worker-pool width for candidate evaluation (1 = serial) and
         #: the optional persistent cross-run makespan cache; both are
         #: threaded through every optimization strategy.
@@ -336,7 +333,7 @@ class PremCompiler:
                        scenarios=scenarios, risk=risk, alpha=alpha,
                        spread=spread)
         keywords = dict(
-            segment_cap=self.segment_cap, cache=self.cache,
+            cache=self.cache,
             deadline=None if budget_s is None
             else time.perf_counter() + budget_s,
             budget_s=budget_s or 0.0,
@@ -365,14 +362,11 @@ class PremCompiler:
             ideal_ns=ideal_makespan_ns(kernel, self.platform, self.machine),
             opt_result=result,
             strategy=strategy,
-            segment_cap=self.segment_cap,
             fission=fission_result,
         )
 
     def compile_fallback(self, kernel: Kernel, cores: Optional[int] = None,
-                         strategies: Sequence[str] = FALLBACK_CHAIN,
                          stage_budget_s: Optional[float] = 10.0,
-                         tree: Optional[LoopTree] = None,
                          fission: str = "off"
                          ) -> CompilationResult:
         """Compile with graceful degradation.
@@ -392,9 +386,9 @@ class PremCompiler:
         :meth:`compile`'s *budget_s*, before any stage runs.
         """
         validate_budget(stage_budget_s)
-        kernel, tree, fission_result = self._front_end(kernel, tree, fission)
+        kernel, tree, fission_result = self._front_end(kernel, None, fission)
         attempts: List[StageAttempt] = []
-        for strategy in strategies:
+        for strategy in FALLBACK_CHAIN:
             started = time.perf_counter()
             try:
                 result = self.compile(
@@ -448,7 +442,6 @@ class PremCompiler:
             ideal_ns=ideal_makespan_ns(kernel, self.platform, self.machine),
             opt_result=result,
             strategy="sequential",
-            segment_cap=self.segment_cap,
             fission=fission_result,
         )
 

@@ -34,6 +34,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..loopir.component import TilableComponent
 from ..opt.solution import Solution
 from ..prem.segments import CoreSchedule, PlanError, SegmentPlanner
+from ..schedule.makespan import DEFAULT_SEGMENT_CAP
 from ..timing.execmodel import ExecModel
 from ..timing.platform import Platform
 
@@ -80,15 +81,14 @@ class TwoLevelResult:
 
 def evaluate_two_level(component: TilableComponent, solution: Solution,
                        platform: TwoLevelPlatform, exec_model: ExecModel,
-                       block_segments: int,
-                       segment_cap: int = 8192) -> TwoLevelResult:
+                       block_segments: int) -> TwoLevelResult:
     """Makespan of one component execution under two-level streaming."""
     if block_segments <= 0:
         raise ValueError("block_segments must be positive")
 
     planner = SegmentPlanner(component, platform.l1_view(), exec_model)
     try:
-        plan = planner.plan(solution, segment_cap)
+        plan = planner.plan(solution, DEFAULT_SEGMENT_CAP)
     except PlanError as error:
         return TwoLevelResult(math.inf, False, str(error))
 
@@ -234,15 +234,12 @@ def _two_level_pipeline(cores: Sequence[CoreSchedule],
 
 
 def best_block_size(component: TilableComponent, solution: Solution,
-                    platform: TwoLevelPlatform, exec_model: ExecModel,
-                    candidates: Optional[Sequence[int]] = None
+                    platform: TwoLevelPlatform, exec_model: ExecModel
                     ) -> Tuple[int, TwoLevelResult]:
     """Pick the block size minimising the two-level makespan."""
-    if candidates is None:
-        most = max(solution.segments_on_core(c)
-                   for c in range(solution.threads))
-        candidates = sorted({1, 2, 4, 8, 16, most}) if most else [1]
-        candidates = [c for c in candidates if c >= 1]
+    most = max(solution.segments_on_core(c)
+               for c in range(solution.threads))
+    candidates = sorted({1, 2, 4, 8, 16, most}) if most else [1]
     best: Optional[Tuple[int, TwoLevelResult]] = None
     for block in candidates:
         result = evaluate_two_level(

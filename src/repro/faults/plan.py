@@ -3,18 +3,16 @@
 A :class:`FaultPlan` is a deterministic, seed-reproducible list of
 :class:`FaultSpec` perturbations of the simulated machine.  The
 :class:`FaultInjector` answers the narrow questions the instrumented
-subsystems ask (``repro.sim.machine``, ``repro.schedule.pipeline``,
-``repro.prem.runtime``): how long does this DMA op really take, does
-this swap fire, where do SPM bits flip.  With no injector attached every
-hook is a no-op and the toolchain is bit-identical to the unfaulted
-build.
+subsystems ask (``repro.schedule.pipeline``, ``repro.prem.runtime``):
+how long does this DMA op really take, does this swap fire, where do
+SPM bits flip.  With no injector attached every hook is a no-op and the
+toolchain is bit-identical to the unfaulted build.
 
 Fault kinds
 -----------
 ``dma-jitter``     multiply one DMA op's duration (timing)
 ``dma-stall``      add a fixed stall to one DMA op (timing)
-``exec-overrun``   stretch one execution phase (timing; with no core
-                   pinned it perturbs :meth:`MachineModel.tile_cost`)
+``exec-overrun``   stretch one core's execution phase (timing)
 ``swap-drop``      a planned swap transfer never happens (functional)
 ``swap-delay``     a swap transfer lands whole slots late (functional)
 ``swap-duplicate`` a swap transfer fires a second time (functional)
@@ -135,16 +133,6 @@ class FaultInjector:
             if spec.segment is not None and spec.segment != segment:
                 continue
             out *= max(spec.magnitude, 0.0)
-        return out
-
-    # -- machine side (sim.machine) -------------------------------------
-
-    def tile_cycles(self, widths: Tuple[int, ...], cycles: int) -> int:
-        """Perturbed tile cost; untargeted exec-overrun specs apply."""
-        out = cycles
-        for spec in self.plan.specs:
-            if spec.kind == EXEC_OVERRUN and spec.core is None:
-                out = int(out * max(spec.magnitude, 0.0))
         return out
 
     # -- functional side (prem.runtime) ---------------------------------

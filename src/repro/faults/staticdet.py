@@ -164,8 +164,8 @@ class StaticCampaignResult:
 #: Compact per-core streaming platform: a small SPM forces deep
 #: double-buffered swap plans even at the SMALL preset, which is what a
 #: corruption campaign needs to exercise the mid-stream hazard rules.
-def campaign_platform(cores: int = 1, spm_kib: int = 8) -> Platform:
-    return Platform().with_cores(cores).with_spm(spm_kib * 1024)
+def campaign_platform() -> Platform:
+    return Platform().with_cores(1).with_spm(8 * 1024)
 
 
 def _enumerate_cases(ctx: AnalysisContext,
@@ -213,8 +213,7 @@ def _apply_case(models, case: StaticFaultCase) -> None:
 def run_static_campaign(kernel_name: str, preset: str = "SMALL",
                         seed: int = 7, cases: int = 200,
                         strategy: str = "heuristic",
-                        platform: Optional[Platform] = None,
-                        magnitudes: Tuple[int, ...] = (1, 2, 3)
+                        platform: Optional[Platform] = None
                         ) -> StaticCampaignResult:
     """Corrupt swap-plan mirrors of one compiled kernel and score the
     static verifier's detection rate."""
@@ -229,7 +228,7 @@ def run_static_campaign(kernel_name: str, preset: str = "SMALL",
     for compiled in result.components:
         ctx = verifier.build_context(compiled.component, compiled.solution)
         contexts.append(ctx)
-        for case in _enumerate_cases(ctx, magnitudes):
+        for case in _enumerate_cases(ctx, (1, 2, 3)):
             universe.append((len(contexts) - 1, case))
     if not universe:
         raise ValueError(

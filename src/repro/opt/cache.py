@@ -194,9 +194,16 @@ class JsonLog:
         return self.path.stat().st_size if self.path.exists() else 0
 
     def append(self, record: Mapping[str, Any]) -> None:
-        """Append one record; call inside :meth:`locked`."""
-        with open(self.path, "a") as handle:
-            handle.write(_line(record))
+        """Append one record; call inside :meth:`locked`.  After a torn
+        last line (no trailing newline) the record starts a line of its
+        own, so the tear spoils only the torn line."""
+        line = _line(record).encode()
+        with open(self.path, "a+b") as handle:
+            if handle.seek(0, os.SEEK_END):
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    line = b"\n" + line
+            handle.write(line)
 
     def rewrite(self, records) -> None:
         """Atomically replace the file with *records*: readers see the

@@ -381,9 +381,9 @@ class EvaluationEngine:
         """Account candidates the caller discarded on an admissible bound."""
         self._metrics.pruned += count
 
-    def note_bound_hit(self, count: int = 1) -> None:
-        """Account pruned candidates the persistent cache already knew."""
-        self._metrics.bound_hits += count
+    def note_bound_hit(self) -> None:
+        """Account one pruned candidate the persistent cache already knew."""
+        self._metrics.bound_hits += 1
 
     def finalize(self, result: Optional[MakespanResult]
                  ) -> Optional[MakespanResult]:

@@ -40,11 +40,12 @@ vector scoring, or plain serial — all bit-identical), and memo/cache
 hits occupy window slots so a warm run walks the identical archive
 trajectory as the cold one.
 
-The second method, **weighted scalarization**, minimizes a positive
-weighted sum of the front-range-normalised objectives over every scored
-candidate; with strictly positive weights a dominated candidate scores
-strictly worse than its dominator, so every scalarized winner provably
-lies on the sweep front — :func:`scalarize` verifies that membership.
+The second method, **weighted scalarization** (:func:`scalarize`),
+minimizes a positive weighted sum of the front-range-normalised
+objectives over the front alone.  With strictly positive weights a
+dominated candidate never scores below the front point that dominates
+it, so the minimum over every scored candidate is a front point; the
+front is all the renderer needs (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..errors import OptimizerError
 from ..loopir.component import TilableComponent
 from ..schedule.makespan import (
     DEFAULT_SEGMENT_CAP,
@@ -83,8 +83,8 @@ OBJECTIVES: Tuple[str, ...] = (
 
 #: Default scalarization weight vectors: one leaning on each objective
 #: plus the balanced compromise.  Every weight is strictly positive —
-#: a zero weight would let an off-front candidate tie a front member
-#: and void the winner-on-front guarantee.
+#: a zero weight would let an off-front candidate tie a front member,
+#: and the front alone would no longer decide the winner.
 DEFAULT_WEIGHTS: Tuple[Tuple[float, float, float, float], ...] = (
     (0.85, 0.05, 0.05, 0.05),
     (0.05, 0.85, 0.05, 0.05),
@@ -128,7 +128,7 @@ class ParetoPoint:
 
 @dataclass(frozen=True, eq=False)
 class ScalarizedPoint:
-    """One weighted-scalarization winner, verified on the sweep front."""
+    """One weighted-scalarization winner, a member of the sweep front."""
 
     weights: Tuple[float, float, float, float]
     point: ParetoPoint
@@ -186,17 +186,16 @@ def pareto_front(points: Iterable[ParetoPoint]) -> Tuple[ParetoPoint, ...]:
 
 
 def scalarize(front: Sequence[ParetoPoint],
-              candidates: Sequence[ParetoPoint],
               weights: Sequence[float]) -> ScalarizedPoint:
-    """Weighted-sum winner over *candidates*, verified to lie on *front*.
+    """Weighted-sum winner over *front*, ties to the smallest flat key.
 
     Objectives are normalised by the front's per-objective range (every
     per-objective minimum appears on the front, so the ranges — and the
     winner — are as deterministic as the front itself); a degenerate
     range falls back to an absolute offset, which preserves strictness.
-    All weights must be strictly positive: that is what makes a
-    dominated candidate score strictly worse than its dominator and
-    pins the winner onto the sweep front."""
+    All weights must be strictly positive: that is what keeps every
+    dominated candidate from scoring below its dominator, so the
+    winner over the front is the winner over every scored candidate."""
     weights = tuple(float(w) for w in weights)
     if len(weights) != len(OBJECTIVES):
         raise ValueError(
@@ -206,7 +205,7 @@ def scalarize(front: Sequence[ParetoPoint],
         raise ValueError(
             "scalarization weights must be strictly positive "
             "(a zero weight voids the winner-on-front guarantee)")
-    if not front or not candidates:
+    if not front:
         raise ValueError("cannot scalarize an empty front")
     los = [min(p.objectives[i] for p in front)
            for i in range(len(OBJECTIVES))]
@@ -219,12 +218,7 @@ def scalarize(front: Sequence[ParetoPoint],
             w * (obj - lo) / span for w, obj, lo, span
             in zip(weights, point.objectives, los, spans))
 
-    winner = min(candidates, key=lambda p: (score(p), p.flat))
-    if not any(member.flat == winner.flat for member in front):
-        raise OptimizerError(
-            f"scalarization winner {winner.flat} with objectives "
-            f"{winner.objectives} is not on the sweep front — "
-            f"non-positive weights or an inadmissible bound")
+    winner = min(front, key=lambda p: (score(p), p.flat))
     return ScalarizedPoint(weights, winner, score(winner))
 
 
@@ -291,11 +285,10 @@ class ParetoComponentResult(ComponentOptResult):
     the nominal single-objective optimum, so
     :class:`~repro.opt.tree.TreeOptimizer` chain assembly composes the
     same decisions as the pruned strategy); the full trade-off surface
-    lives in :attr:`front` and the default scalarized winners in
-    :attr:`scalarized`."""
+    lives in :attr:`front`, and :func:`scalarize` picks weighted winners
+    from it."""
 
     front: Tuple[ParetoPoint, ...] = ()
-    scalarized: Tuple[ScalarizedPoint, ...] = ()
     candidates: int = 0           # candidate points in the space
     scored: int = 0               # candidates screened into scoring windows
     dominance_pruned: int = 0     # skipped via bound-vector dominance
@@ -329,7 +322,6 @@ class ParetoOptimizer:
                  deadline: float | None = None, budget_s: float = 0.0,
                  jobs: int = 1, cache: Optional[PersistentCache] = None,
                  vectorize: bool = True, prune: bool = True,
-                 weights: Sequence[Sequence[float]] = DEFAULT_WEIGHTS,
                  shard_of: Optional[Tuple[int, int]] = None):
         self.component = component
         self.platform = platform
@@ -343,7 +335,6 @@ class ParetoOptimizer:
         #: the concatenated shard fronts equals the unsharded front),
         #: so no incumbent exchange is needed or possible here.
         self.shard_of = validate_shard(shard_of)
-        self.weights = tuple(tuple(float(w) for w in ws) for ws in weights)
         self.evaluator = MakespanEvaluator(
             component, platform, exec_model, segment_cap, cache=cache)
         if deadline is not None:
@@ -370,9 +361,6 @@ class ParetoOptimizer:
                 top = min(front, key=lambda p: (p.makespan_ns, p.flat))
                 best = engine.finalize(top.result)
             metrics = engine.metrics()
-        scalarized = tuple(
-            scalarize(front, archive.achieved, weights)
-            for weights in self.weights) if front else ()
         return ParetoComponentResult(
             component=self.component,
             best=best,
@@ -381,7 +369,6 @@ class ParetoOptimizer:
             metrics=metrics,
             exec_model=self.exec_model,
             front=front,
-            scalarized=scalarized,
             candidates=space.size,
             scored=scored,
             dominance_pruned=archive.dominance_pruned,

@@ -200,7 +200,6 @@ class RobustOptimizer:
                  scenarios: int = 32, seed: int = 0,
                  spread: float = DEFAULT_SPREAD,
                  risk: str = "cvar", alpha: float = 0.9,
-                 max_points: int = DEFAULT_PRUNED_MAX_POINTS,
                  deadline: float | None = None, budget_s: float = 0.0,
                  jobs: int = 1, cache: Optional[PersistentCache] = None,
                  vectorize: bool = True,
@@ -219,7 +218,6 @@ class RobustOptimizer:
         self.deadline = deadline
         self.budget_s = budget_s
         self.vectorize = vectorize
-        self.max_points = max_points
         #: Restrict phases A and B to shard *i* of *n* of the sorted
         #: candidate list.  Unlike the nominal search, shards exchange
         #: no incumbents here — each shard robustifies its own slice,
@@ -230,9 +228,8 @@ class RobustOptimizer:
         #: Phase A — the nominal search, shared guard and counters.
         self._nominal_search = PrunedOptimizer(
             component, platform, exec_model, segment_cap=segment_cap,
-            max_points=max_points, deadline=deadline, budget_s=budget_s,
-            jobs=jobs, cache=cache, vectorize=vectorize,
-            shard_of=shard_of)
+            deadline=deadline, budget_s=budget_s, jobs=jobs, cache=cache,
+            vectorize=vectorize, shard_of=shard_of)
         self._scenario_evaluators: List[MakespanEvaluator] = []
         #: Phases B and C's counters: screening prunes plus one engine
         #: record per scenario evaluator.
@@ -348,8 +345,8 @@ class RobustOptimizer:
         # Same round-robin slice as the nominal search: sorted, so the
         # tail prune below stays valid within the shard.
         space = CandidateSpace(
-            self.component, bounds, cores, self.max_points, "robust",
-            check, vectorize=self.vectorize, shard_of=self.shard_of)
+            self.component, bounds, cores, DEFAULT_PRUNED_MAX_POINTS,
+            "robust", check, vectorize=self.vectorize, shard_of=self.shard_of)
         self._metrics.pruned += space.enum_pruned
         candidates = space.candidates
 

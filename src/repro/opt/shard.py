@@ -31,6 +31,7 @@ winner.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -53,11 +54,16 @@ Rank = Tuple[float, Tuple[int, ...]]
 
 
 def _rank_of(record: Dict[str, Any]) -> Optional[Rank]:
-    makespan = record.get("m")
+    """The record's feasible rank; None when it has none or its fields
+    are not numbers (a foreign or hand-edited line)."""
     flat = record.get("key")
-    if makespan is None or not isinstance(flat, list):
+    if not isinstance(flat, list):
         return None
-    return float(makespan), tuple(int(x) for x in flat)
+    try:
+        rank = float(record.get("m")), tuple(int(x) for x in flat)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return rank if math.isfinite(rank[0]) else None
 
 
 def merge_ranks(*ranks: Optional[Rank]) -> Optional[Rank]:
@@ -149,11 +155,14 @@ def space_statuses(log: ShardLog) -> Dict[str, SpaceStatus]:
         if isinstance(worker, str) and worker:
             workers[space].add(worker)
         if kind == "space":
-            status.chunks = int(record.get("chunks", status.chunks))
+            try:
+                status.chunks = int(record.get("chunks", status.chunks))
+            except (TypeError, ValueError, OverflowError):
+                continue
             status.component = str(
                 record.get("component", status.component))
-        elif kind == "done":
-            done[space].add(record.get("c"))
+        elif kind == "done" and isinstance(record.get("c"), str):
+            done[space].add(record["c"])
         elif kind == "winner":
             status.winner = merge_ranks(status.winner, _rank_of(record))
     for space, status in statuses.items():

@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..loopir.component import TilableComponent
 from ..loopir.looptree import LoopTree, LoopTreeNode
 from ..loopir.validity import is_chain_extendable
-from ..schedule.makespan import DEFAULT_SEGMENT_CAP
 from ..sim.machine import MachineModel
 from ..sim.profiler import fit_component_model
 from ..timing.execmodel import ExecModel
@@ -97,14 +96,9 @@ class TreeOptimizer:
     """Runs Algorithm 2; pluggable per-component optimizer (heuristic or
     greedy) and cached execution-model fits."""
 
-    def __init__(self, tree: LoopTree, machine: MachineModel | None = None,
-                 max_iter: int = 3, seed: int = 0,
-                 segment_cap: int = DEFAULT_SEGMENT_CAP):
+    def __init__(self, tree: LoopTree, machine: MachineModel | None = None):
         self.tree = tree
         self.machine = machine or MachineModel()
-        self.max_iter = max_iter
-        self.seed = seed
-        self.segment_cap = segment_cap
         self._models: Dict[Tuple[str, ...], ExecModel] = {}
         self._platform: Optional[Platform] = None
         self._cores = 0
@@ -134,11 +128,8 @@ class TreeOptimizer:
         self._metrics = EngineMetrics()
         if optimize_fn is None:
             def optimize_fn(component, exec_model):
-                optimizer = ComponentOptimizer(
-                    component, platform, exec_model,
-                    max_iter=self.max_iter, seed=self.seed,
-                    segment_cap=self.segment_cap)
-                return optimizer.optimize(cores)
+                return ComponentOptimizer(
+                    component, platform, exec_model).optimize(cores)
 
         total = 0.0
         choices: List[ComponentChoice] = []

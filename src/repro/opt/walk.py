@@ -193,8 +193,10 @@ class ScalarIncumbent:
 
     Prune comparisons reuse the exhaustive search's tie-break rank, and
     every bound is admissible, so nothing that could still win is ever
-    discarded.  *seed* is an optional true feasible rank published by
-    another shard; it can only prune more."""
+    discarded.  *seed* is an optional true feasible rank published by a
+    shard; it can only prune more.  A result that ties the seed is this
+    shard's own published winner (re-run), so it is kept while nothing
+    else is."""
 
     def __init__(self, seed: Optional[Rank] = None):
         self.best: Optional[MakespanResult] = None
@@ -213,7 +215,8 @@ class ScalarIncumbent:
     def adopt(self, result: MakespanResult, flat: Tuple[int, ...]) -> None:
         if result.feasible:
             rank = (result.makespan_ns, flat)
-            if self.rank is None or rank < self.rank:
+            if self.rank is None or rank < self.rank or \
+                    (self.best is None and rank == self.rank):
                 self.best, self.rank = result, rank
 
 

@@ -18,7 +18,7 @@ which parameters — is fully concrete.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..loopir.ast import Loop, Stmt
 from ..loopir.component import TilableComponent
@@ -34,11 +34,10 @@ from .segments import RO, RW, WO
 class CodeGenerator:
     """Generates PREM-compliant C for one component and solution."""
 
-    def __init__(self, component: TilableComponent, solution: Solution,
-                 modes: Mapping[str, str] | None = None):
+    def __init__(self, component: TilableComponent, solution: Solution):
         self.component = component
         self.solution = solution
-        self.builder = MacroBuilder(component, solution, modes)
+        self.builder = MacroBuilder(component, solution)
         self.modes = self.builder.modes
         self.schedules: List[Dict[str, ArraySwapSchedule]] = [
             self.builder.core_schedules(core)

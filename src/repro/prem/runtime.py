@@ -411,19 +411,16 @@ def init_arrays(kernel: Kernel, seed: int = 7) -> Dict[str, np.ndarray]:
 def run_kernel_prem(kernel: Kernel,
                     components: Mapping[str, Tuple[TilableComponent,
                                                    Solution]],
-                    arrays: Mapping[str, np.ndarray],
-                    injector=None, trace: Optional[VmTrace] = None) -> None:
+                    arrays: Mapping[str, np.ndarray]) -> None:
     """Execute a kernel, running each chosen component under the PREM VM.
 
     *components* maps a component's head iterator to (component, solution).
     Loops outside any component run sequentially; each time control reaches
     a component head, one PREM component execution happens with the current
-    outer iterators pinned.  *injector*/*trace* are forwarded to every
-    :class:`PremRuntime` (fault campaigns over whole kernels).
+    outer iterators pinned.
     """
     runtimes = {
-        head: PremRuntime(component, solution,
-                          injector=injector, trace=trace)
+        head: PremRuntime(component, solution)
         for head, (component, solution) in components.items()
     }
 

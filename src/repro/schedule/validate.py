@@ -69,13 +69,12 @@ def validate_static(component: TilableComponent, solution: Solution,
 
 
 def validate_timing_model(component: TilableComponent, solution: Solution,
-                          platform: Platform, exec_model: ExecModel,
-                          machine: MachineModel | None = None
+                          platform: Platform, exec_model: ExecModel
                           ) -> ValidationResult:
     """Compare the fitted model's makespan with the machine model's."""
     predicted_plan = SegmentPlanner(
         component, platform, exec_model).plan(solution)
-    exact = ExactExecModel(component, machine)
+    exact = ExactExecModel(component)
     simulated_plan = SegmentPlanner(
         component, platform, exact).plan(solution)
     return ValidationResult(

@@ -42,17 +42,10 @@ class CostTable:
 
 
 class MachineModel:
-    """Closed-form tile execution cost with an interpretive cross-check.
+    """Closed-form tile execution cost with an interpretive cross-check."""
 
-    *injector* (duck-typed, see :class:`repro.faults.FaultInjector`) may
-    perturb the cycle count a tile "measures" — modelling a machine whose
-    execution phases overrun the profiled worst case.  ``None`` (the
-    default) keeps the model exactly deterministic.
-    """
-
-    def __init__(self, costs: CostTable | None = None, injector=None):
+    def __init__(self, costs: CostTable | None = None):
         self.costs = costs or CostTable()
-        self.injector = injector
 
     # -- closed form -----------------------------------------------------
 
@@ -84,8 +77,6 @@ class MachineModel:
         per_point = self._sequence_cost(
             component.nodes[-1].loop.body, band_widths)
         total += prefix * per_point
-        if self.injector is not None:
-            total = self.injector.tile_cycles(tuple(widths), total)
         return total
 
     def _sequence_cost(self, body, band_widths: Mapping[str, int]) -> int:

@@ -69,19 +69,17 @@ def sample_widths(component: TilableComponent,
 
 
 def profile_component(component: TilableComponent,
-                      machine: MachineModel | None = None,
-                      max_samples: int = MAX_SAMPLES
+                      machine: MachineModel | None = None
                       ) -> Tuple[List[Tuple[int, ...]], List[float]]:
     """Measure tile execution cycles for a spread of width vectors."""
     machine = machine or MachineModel()
-    widths = sample_widths(component, max_samples)
+    widths = sample_widths(component)
     measured = [float(machine.tile_cost(component, w)) for w in widths]
     return widths, measured
 
 
 def fit_component_model(component: TilableComponent,
-                        machine: MachineModel | None = None,
-                        max_samples: int = MAX_SAMPLES) -> ExecModel:
+                        machine: MachineModel | None = None) -> ExecModel:
     """Profile and fit the parametric execution model in one call."""
-    widths, measured = profile_component(component, machine, max_samples)
+    widths, measured = profile_component(component, machine)
     return fit_exec_model(widths, measured)

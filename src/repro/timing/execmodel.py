@@ -23,6 +23,7 @@ followed by a scale-up to restore the upper-bound property.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -36,6 +37,13 @@ class ExecModel:
     overheads: Tuple[float, ...]   # O_1 .. O_L (O_L merged into W, so 0)
     work: float                    # W
     intercept: float               # O_0
+
+    def __post_init__(self):
+        for value in (*self.overheads, self.work, self.intercept):
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"execution-model coefficients must be finite, "
+                    f"got {value}")
 
     @property
     def depth(self) -> int:

@@ -64,14 +64,6 @@ class TestTimingHooks:
         assert inj.exec_ns(2, 2, 10.0) == 10.0
         assert inj.exec_ns(1, 1, 10.0) == 10.0
 
-    def test_untargeted_overrun_perturbs_tile_cost(self):
-        inj = FaultInjector(FaultPlan.single(
-            FaultSpec(EXEC_OVERRUN, magnitude=2.0)))
-        assert inj.tile_cycles((2, 2), 100) == 200
-        pinned = FaultInjector(FaultPlan.single(
-            FaultSpec(EXEC_OVERRUN, core=0, magnitude=2.0)))
-        assert pinned.tile_cycles((2, 2), 100) == 100
-
 
 class TestSwapHooks:
     def test_drop_matches_exact_target(self):
@@ -113,7 +105,6 @@ class TestNullInjector:
     def test_every_hook_is_identity(self):
         assert NULL_INJECTOR.mem_ns(0, 1, 123.0) == 123.0
         assert NULL_INJECTOR.exec_ns(0, 1, 456.0) == 456.0
-        assert NULL_INJECTOR.tile_cycles((4,), 789) == 789
         assert not NULL_INJECTOR.drops(0, "a", 1, "load")
         assert NULL_INJECTOR.delay_slots(0, "a", 1, "load") == 0
         assert NULL_INJECTOR.duplicate_offset(0, "a", 1, "load") is None

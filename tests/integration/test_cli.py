@@ -1,6 +1,7 @@
 """CLI smoke tests (fast presets only)."""
 
 import contextlib
+import functools
 import io
 import math
 
@@ -245,6 +246,19 @@ class TestCommands:
         assert "makespan ns" in out              # frontier table header
         assert "weights (" in out                # scalarized winners
 
+    def test_pareto_space_guard_exits_1(self, capsys, monkeypatch):
+        # The guard's SearchSpaceTooLarge is a ReproError: one error
+        # line and exit 1, like every other compiling command.
+        from repro.opt.pareto import ParetoOptimizer
+
+        _cls, extras, exchange = STRATEGIES["pareto"]
+        monkeypatch.setitem(STRATEGIES, "pareto", (functools.partial(
+            ParetoOptimizer, max_points=3), extras, exchange))
+        assert main(["pareto", "rnn", "--preset", "MINI"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_compile_pareto(self, capsys):
         code = main(["compile", "cnn", "--preset", "MINI",
                      "--spm", "8", "--strategy", "pareto"])
@@ -433,6 +447,26 @@ class TestNumericFlags:
             assert code == 2
         if budget is not None and not 0 <= float(budget) < math.inf:
             assert code == 2
+
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["sweep", "rnn", "--speeds", "0"], "--speeds"),
+        (["sweep", "rnn", "--speeds", "nan"], "--speeds"),
+        (["sweep", "rnn", "--speeds", "abc"], "--speeds"),
+        (["sweep", "rnn", "--speeds", "1,-4"], "--speeds"),
+        (["analyze", "cnn", "--selftest", "-5"], "--selftest"),
+        (["faults", "rnn", "--per-kind", "-1"], "--per-kind"),
+        (["faults", "rnn", "--per-kind", "0"], "--per-kind"),
+    ])
+    def test_other_commands_exit_2(self, argv, flag, capsys):
+        """A bad count or speed exits 2 with one line naming the flag,
+        before anything is compiled or printed to stdout."""
+        assert main(argv + ["--preset", "MINI"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {flag} ")
 
 
 class TestAnalyze:

@@ -315,6 +315,17 @@ class TestCorruptLines:
         assert fresh.corrupt_lines == 0
         assert fresh.stats()["bytes"] == report["bytes_after"]
 
+    def test_put_after_each_tail_survives(self, tmp_path, corrupt_tail):
+        tail, bad = corrupt_tail
+        fresh = self._corrupted(tmp_path, tail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fresh.put("b", makespan_ns=7.0, feasible=True)
+            reread = PersistentCache(tmp_path)
+            assert reread.get("b") is not None
+        assert reread.corrupt_lines == bad
+        assert len(reread) == 2
+
     def test_appends_after_a_bad_line_survive(self, tmp_path):
         fresh = self._corrupted(tmp_path, b"\xff\xfe\n")
         with pytest.warns(RuntimeWarning, match="1 corrupt line"):

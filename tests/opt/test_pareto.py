@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import OptimizerError
 from repro.kernels import make_kernel
 from repro.loopir import LoopTree
 from repro.loopir.component import component_at
@@ -68,6 +67,11 @@ def rnn_small():
     return _component("rnn", "SMALL", ["s1", "p"])
 
 
+@pytest.fixture(scope="module")
+def maxpool_small():
+    return _component("maxpool", "SMALL", ["n", "k", "p", "q", "r"])
+
+
 def _front_key(result):
     """The comparable identity of a front: vectors plus representatives."""
     return tuple((p.objectives, p.flat) for p in result.front)
@@ -82,6 +86,17 @@ def _point(makespan, spm, dma, cores, flat):
     """Hand-built front point for the pure-function tests."""
     return ParetoPoint(result=None, flat=flat, makespan_ns=float(makespan),
                        spm_bytes=spm, dma_bytes=dma, cores=cores)
+
+
+def _score(front, weights, point):
+    """Reference weighted sum of *point* over *front*'s ranges."""
+    total = []
+    for i, weight in enumerate(weights):
+        lo = min(p.objectives[i] for p in front)
+        hi = max(p.objectives[i] for p in front)
+        span = hi - lo if hi > lo else 1.0
+        total.append(weight * (point.objectives[i] - lo) / span)
+    return math.fsum(total)
 
 
 # -- pure functions ---------------------------------------------------------
@@ -159,31 +174,41 @@ class TestScalarizeValidation:
 
     def test_rejects_wrong_weight_count(self):
         with pytest.raises(ValueError, match="weights"):
-            scalarize(self.FRONT, self.FRONT, (1.0, 1.0))
+            scalarize(self.FRONT, (1.0, 1.0))
 
     def test_rejects_non_positive_weights(self):
         with pytest.raises(ValueError, match="strictly positive"):
-            scalarize(self.FRONT, self.FRONT, (1.0, 0.0, 1.0, 1.0))
+            scalarize(self.FRONT, (1.0, 0.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="strictly positive"):
-            scalarize(self.FRONT, self.FRONT, (1.0, -1.0, 1.0, 1.0))
+            scalarize(self.FRONT, (1.0, -1.0, 1.0, 1.0))
 
     def test_rejects_empty_front(self):
         with pytest.raises(ValueError, match="empty"):
-            scalarize((), (), (0.25, 0.25, 0.25, 0.25))
-
-    def test_off_front_winner_is_an_optimizer_error(self):
-        # An off-front candidate that scores better than every member
-        # can only mean a broken bound/weight setup; scalarize refuses.
-        rogue = _point(0.0, 0, 0, 1, (0,))
-        with pytest.raises(OptimizerError, match="not on the sweep front"):
-            scalarize(self.FRONT, (*self.FRONT, rogue),
-                      (0.25, 0.25, 0.25, 0.25))
+            scalarize((), (0.25, 0.25, 0.25, 0.25))
 
     def test_winner_prefers_the_weighted_objective(self):
-        fast = scalarize(self.FRONT, self.FRONT, (0.85, 0.05, 0.05, 0.05))
-        lean = scalarize(self.FRONT, self.FRONT, (0.05, 0.85, 0.05, 0.05))
+        fast = scalarize(self.FRONT, (0.85, 0.05, 0.05, 0.05))
+        lean = scalarize(self.FRONT, (0.05, 0.85, 0.05, 0.05))
         assert fast.point.flat == (1,)
         assert lean.point.flat == (2,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(vectors=st.lists(
+        st.tuples(st.integers(1, 9), st.integers(1, 9),
+                  st.integers(1, 9), st.integers(1, 4)),
+        min_size=1, max_size=12))
+    def test_front_alone_decides_the_winner(self, vectors):
+        """The winner over the front is the winner over every point,
+        scored with the front's ranges: with strictly positive weights a
+        dominated point scores above its dominator."""
+        points = [_point(*vector, (i,)) for i, vector in enumerate(vectors)]
+        front = pareto_front(points)
+        for weights in DEFAULT_WEIGHTS:
+            winner = scalarize(front, weights)
+            scores = {p.flat: _score(front, weights, p) for p in points}
+            best = min(points, key=lambda p: (scores[p.flat], p.flat))
+            assert winner.point is best
+            assert winner.score == scores[best.flat]
 
 
 # -- the sweep itself -------------------------------------------------------
@@ -203,12 +228,6 @@ def _assert_exact_front(comp, model, platform):
             if i != j:
                 assert not dominates_vector(
                     mine.objectives, other.objectives)
-
-    if front:
-        assert len(pruned.scalarized) == len(DEFAULT_WEIGHTS)
-        members = {p.flat for p in front}
-        for choice in pruned.scalarized:
-            assert choice.point.flat in members
 
     single = PrunedOptimizer(comp, platform, model).optimize()
     if single.best is None or not single.best.feasible:
@@ -263,9 +282,9 @@ class TestFrontExactness:
             _assert_admissible_bounds(comp, model, Platform(), result.front)
         assert result.front_size > 1      # a real trade-off surface
 
-    def test_dominance_tier_fires_without_losing_members(self):
-        comp, model = _component(
-            "maxpool", "SMALL", ["n", "k", "p", "q", "r"])
+    def test_dominance_tier_fires_without_losing_members(
+            self, maxpool_small):
+        comp, model = maxpool_small
         with eight_cpus():
             result = _assert_exact_front(comp, model, Platform())
         assert result.dominance_pruned > 0
@@ -277,7 +296,6 @@ class TestFrontExactness:
         with eight_cpus():
             result = ParetoOptimizer(comp, platform, model).optimize()
         assert result.front == ()
-        assert result.scalarized == ()
         assert result.best is None
 
     def test_space_guard_still_applies(self, lstm_small):
@@ -285,6 +303,32 @@ class TestFrontExactness:
         with eight_cpus(), pytest.raises(SearchSpaceTooLarge):
             ParetoOptimizer(
                 comp, Platform(), model, max_points=3).optimize()
+
+
+class TestScalarizedWinners:
+    """The weighted winners over the front, one per ``DEFAULT_WEIGHTS``
+    vector, pinned to those the sweep once picked over every scored
+    point."""
+
+    GOLDEN = {
+        "lstm_small": [(4, 8, 14, 1), (4, 8, 1, 1), (4, 8, 4, 1),
+                       (4, 8, 4, 1), (4, 8, 4, 1)],
+        "rnn_small": [(4, 8, 14, 1), (4, 8, 1, 1), (4, 8, 4, 1),
+                      (4, 8, 4, 1), (4, 8, 4, 1)],
+        "maxpool_small": [(1, 1, 1, 2, 4, 4, 16, 1, 2, 1),
+                          (1, 1, 1, 1, 1, 2, 4, 4, 2, 1),
+                          (1, 1, 1, 1, 1, 8, 16, 1, 2, 1),
+                          (1, 1, 1, 1, 1, 8, 16, 1, 2, 1),
+                          (1, 1, 1, 1, 1, 8, 16, 1, 2, 1)],
+    }
+
+    @pytest.mark.parametrize("fixture", sorted(GOLDEN))
+    def test_pinned_winners(self, fixture, request):
+        comp, model = request.getfixturevalue(fixture)
+        with eight_cpus():
+            result = ParetoOptimizer(comp, Platform(), model).optimize()
+        assert [scalarize(result.front, weights).point.flat
+                for weights in DEFAULT_WEIGHTS] == self.GOLDEN[fixture]
 
 
 class TestDeterminism:

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.compiler import PremCompiler
 from repro.kernels import make_kernel
 from repro.loopir import LoopTree
 from repro.loopir.component import component_at
@@ -221,6 +222,37 @@ class TestCorruptLog:
             ("(i)", 2, 1)
         assert status.winner == (5.0, (1, 2))
         assert status.workers == ("a",)
+
+    def test_appends_after_each_tail_keep_their_line(self, tmp_path,
+                                                     corrupt_tail):
+        tail, bad = corrupt_tail
+        log = self._corrupted(tmp_path, tail)
+        late = {"t": "done", "s": "sp", "c": "sp:1", "i": 1, "w": "b"}
+        with log.locked():
+            log.append(late)
+        assert log.read() == (self.RECORDS + [late], bad)
+        assert space_statuses(log)["sp"].done == 2
+
+    NON_NUMERIC = {
+        "m-text": b'{"t":"winner","s":"sp","w":"a","m":"abc","key":[1]}',
+        "key-text": b'{"t":"winner","s":"sp","w":"a","m":1.0,"key":["x"]}',
+        "m-list": b'{"t":"winner","s":"sp","w":"a","m":[1.0],"key":[1]}',
+        "m-nan": b'{"t":"winner","s":"sp","w":"a","m":NaN,"key":[1]}',
+        "m-inf": b'{"t":"winner","s":"sp","w":"a","m":1e999,"key":[1]}',
+        "key-inf": b'{"t":"winner","s":"sp","w":"a","m":1.0,"key":[1e999]}',
+        "chunks-text": b'{"t":"space","s":"sp","w":"a","chunks":"abc"}',
+        "chunks-inf": b'{"t":"space","s":"sp","w":"a","chunks":1e999}',
+        "chunks-null": b'{"t":"space","s":"sp","w":"a","chunks":null}',
+        "chunk-list": b'{"t":"done","s":"sp","w":"a","c":[1]}',
+    }
+
+    @pytest.mark.parametrize("line", sorted(NON_NUMERIC))
+    def test_statuses_skip_non_numeric_fields(self, tmp_path, line):
+        log = self._corrupted(tmp_path, self.NON_NUMERIC[line] + b"\n")
+        status = space_statuses(log)["sp"]
+        assert (status.component, status.chunks, status.done) == \
+            ("(i)", 2, 1)
+        assert status.winner == (5.0, (1, 2))
 
 
 def _fake_result(makespan_ns, key=(("i", 4, 2),)):
@@ -435,6 +467,21 @@ class TestStaticSharding:
         assert status.complete
         assert status.winner == (serial.best.makespan_ns, flat)
         assert len(status.workers) == 2
+
+
+class TestRerunShard:
+    def test_rerun_keeps_its_own_published_winner(self, tmp_path):
+        # The second run is seeded with the rank the first one published;
+        # its winner ties that rank and must still be reported.
+        kernel = make_kernel("cnn", "MINI")
+        platform = Platform(spm_bytes=8 * 1024)
+        runs = [PremCompiler(platform, cache=PersistentCache(tmp_path))
+                .compile(kernel, strategy="pruned", shards=(0, 1))
+                for _ in range(2)]
+        assert runs[0].feasible
+        assert runs[1].makespan_ns == runs[0].makespan_ns
+        assert [c.solution.key() for c in runs[1].components] == \
+            [c.solution.key() for c in runs[0].components]
 
 
 class TestEngineMetricsMerge:

@@ -1,5 +1,7 @@
 """Execution-model fitting tests (Section 4.2's constrained fit)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,14 @@ class TestEstimate:
         model = ExecModel(overheads=(1.0,), work=1.0, intercept=0.0)
         with pytest.raises(ValueError):
             model.estimate((1, 2))
+
+    @pytest.mark.parametrize("field", ["overheads", "work", "intercept"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_rejected(self, field, bad):
+        coefficients = dict(overheads=(1.0,), work=1.0, intercept=0.0)
+        coefficients[field] = (bad,) if field == "overheads" else bad
+        with pytest.raises(ValueError, match="finite"):
+            ExecModel(**coefficients)
 
 
 class TestDesignMatrix:
