@@ -79,7 +79,7 @@ def test_e1_pool_scaling(lstm_setup, benchmark):
     if effective_jobs(widest) > 1 and full_grid_enabled():
         # The >= 2x acceptance target needs both spare CPUs and a search
         # long enough that fork/IPC overhead is amortized (REPRO_FULL).
-        _, widest_elapsed, _ = outcomes[widest]
+        _, widest_elapsed = outcomes[widest]
         assert base_elapsed / widest_elapsed >= 2.0, \
             f"{widest}-worker pool only {base_elapsed / widest_elapsed:.2f}x"
     elif effective_jobs(widest) == 1:

@@ -38,6 +38,7 @@ from repro.opt import (
 )
 from repro.prem.segments import SegmentPlanner
 from repro.reporting import ExperimentReport, engine_note
+from repro.schedule.makespan import Deadline
 from repro.sim.profiler import fit_component_model
 from repro.timing import Platform
 
@@ -234,8 +235,8 @@ def test_b2_search_beyond_the_guard(bank, benchmark):
         with patch:
             optimizer = PrunedOptimizer(
                 comp, platform, model,
-                deadline=time.perf_counter() + STAGE_BUDGET_S,
-                budget_s=STAGE_BUDGET_S)
+                deadline=Deadline("pruned", STAGE_BUDGET_S,
+                                  time.perf_counter() + STAGE_BUDGET_S))
             started = time.perf_counter()
             result = optimizer.optimize(8)   # OptimizerTimeout would fail
             elapsed = time.perf_counter() - started

@@ -42,7 +42,7 @@ from .opt.tree import TreeOptimizer, TreeOptResult
 from .prem.codegen import CodeGenerator
 from .prem.runtime import SequentialInterpreter, init_arrays, run_kernel_prem
 from .prem.segments import ComponentPlan, SegmentPlanner
-from .schedule.makespan import DEFAULT_SEGMENT_CAP
+from .schedule.makespan import DEFAULT_SEGMENT_CAP, Deadline
 from .sim.machine import MachineModel
 from .timing.platform import DEFAULT_PLATFORM, Platform
 
@@ -53,8 +53,9 @@ FALLBACK_CHAIN: Tuple[str, ...] = ("pruned", "greedy", "sequential")
 
 #: Strategy -> (component optimizer, the keywords it takes beyond the
 #: shared ones, shard exchange).  Every optimizer takes the component,
-#: platform and execution model plus ``deadline``, ``budget_s`` and
-#: ``cache``; the listed extras come from the compiler
+#: platform and execution model plus ``deadline`` (one
+#: :class:`~repro.schedule.makespan.Deadline` named after the strategy,
+#: or None) and ``cache``; the listed extras come from the compiler
 #: (``jobs``, ``seed``) or from the :meth:`PremCompiler.compile` call
 #: (``shard_of`` and the robust knobs).  The exchange is None for
 #: strategies without an enumerated candidate space (they cannot
@@ -287,10 +288,12 @@ class PremCompiler:
 
         *budget_s* is the search's wall-clock budget in seconds
         (``None``: unlimited); a search still running when it expires
-        raises :class:`repro.errors.OptimizerTimeout`, the cooperative
-        per-stage timeout of :meth:`compile_fallback`.  The deadline
-        stays armed inside worker processes.  A negative or non-finite
-        budget raises :class:`ValueError`.
+        raises :class:`repro.errors.OptimizerTimeout` naming *strategy*,
+        the cooperative per-stage timeout of :meth:`compile_fallback`.
+        The compiler builds one :class:`~repro.schedule.makespan.
+        Deadline` for the whole search; it stays armed inside worker
+        processes.  A negative or non-finite budget raises
+        :class:`ValueError`.
 
         *shards* — ``(index, count)`` — restricts every component's
         candidate walk to shard *index* of *count* (zero-based) for
@@ -334,9 +337,8 @@ class PremCompiler:
                        spread=spread)
         keywords = dict(
             cache=self.cache,
-            deadline=None if budget_s is None
-            else time.perf_counter() + budget_s,
-            budget_s=budget_s or 0.0,
+            deadline=None if budget_s is None else Deadline(
+                strategy, budget_s, time.perf_counter() + budget_s),
             **{name: offered[name] for name in extras})
         result = TreeOptimizer(tree, machine=self.machine).optimize(
             self.platform, cores=cores, optimize_fn=functools.partial(
@@ -424,15 +426,8 @@ class PremCompiler:
             fission_result: Optional[FissionResult] = None
     ) -> CompilationResult:
         """No-PREM fallback: the untransformed kernel on one core."""
-        started = time.perf_counter()
         makespan = self.machine.kernel_cost(kernel) * \
             self.platform.ns_per_cycle
-        result = TreeOptResult(
-            tree=tree,
-            makespan_ns=makespan,
-            choices=[],
-            elapsed_s=time.perf_counter() - started,
-        )
         return CompilationResult(
             kernel=kernel,
             tree=tree,
@@ -440,7 +435,7 @@ class PremCompiler:
             components=[],
             makespan_ns=makespan,
             ideal_ns=ideal_makespan_ns(kernel, self.platform, self.machine),
-            opt_result=result,
+            opt_result=TreeOptResult(tree, makespan, choices=[]),
             strategy="sequential",
             fission=fission_result,
         )

@@ -124,7 +124,14 @@ def run_campaign(kernel_name: str, preset: str = "MINI", seed: int = 7,
                  kinds: Sequence[str] = ALL_KINDS, per_kind: int = 3,
                  platform: Optional[Platform] = None,
                  strategy: str = "heuristic") -> CampaignResult:
-    """Compile *kernel_name* and run a seeded fault campaign on it."""
+    """Compile *kernel_name* and run a seeded fault campaign on it.
+
+    A campaign that injects nothing proves nothing, so *per_kind* below
+    1 or an empty *kinds* raises :class:`ValueError`."""
+    if per_kind < 1:
+        raise ValueError(f"per_kind must be at least 1, got {per_kind}")
+    if not kinds:
+        raise ValueError("kinds must name at least one fault kind")
     kernel = make_kernel(kernel_name, preset)
     compiler = PremCompiler(platform or DEFAULT_PLATFORM)
     result = compiler.compile(kernel, strategy=strategy)

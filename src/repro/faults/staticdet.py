@@ -216,7 +216,10 @@ def run_static_campaign(kernel_name: str, preset: str = "SMALL",
                         platform: Optional[Platform] = None
                         ) -> StaticCampaignResult:
     """Corrupt swap-plan mirrors of one compiled kernel and score the
-    static verifier's detection rate."""
+    static verifier's detection rate; *cases* below 1 raises
+    :class:`ValueError` (an empty campaign would score 100%)."""
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
     platform = platform or campaign_platform()
     kernel = make_kernel(kernel_name, preset)
     result = PremCompiler(platform=platform).compile(

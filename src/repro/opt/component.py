@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..loopir.component import TilableComponent
 from ..schedule.makespan import (
     DEFAULT_SEGMENT_CAP,
+    Deadline,
     MakespanEvaluator,
     MakespanResult,
 )
@@ -48,7 +48,6 @@ class ComponentOptResult:
 
     component: TilableComponent
     best: Optional[MakespanResult]
-    elapsed_s: float
     assignments_tried: int
     #: The search's counters, straight from its evaluation engine.
     metrics: EngineMetrics = field(default_factory=EngineMetrics)
@@ -83,7 +82,7 @@ class ComponentOptimizer:
     def __init__(self, component: TilableComponent, platform: Platform,
                  exec_model: ExecModel, max_iter: int = 3, seed: int = 0,
                  segment_cap: int = DEFAULT_SEGMENT_CAP, restarts: int = 3,
-                 deadline: float | None = None, budget_s: float = 0.0,
+                 deadline: Optional[Deadline] = None,
                  jobs: int = 1, cache: Optional[PersistentCache] = None):
         self.component = component
         self.platform = platform
@@ -94,16 +93,14 @@ class ComponentOptimizer:
         self.restarts = restarts
         self.jobs = jobs
         self.evaluator = MakespanEvaluator(
-            component, platform, exec_model, segment_cap, cache=cache)
-        if deadline is not None:
-            self.evaluator.set_deadline(deadline, "heuristic", budget_s)
+            component, platform, exec_model, segment_cap, cache=cache,
+            deadline=deadline)
 
     # -- Algorithm 1 --------------------------------------------------------
 
     def optimize(self, cores: Optional[int] = None) -> ComponentOptResult:
         cores = cores if cores is not None else self.platform.cores
         rng = random.Random(self.seed)
-        started = time.perf_counter()
         assignments = generate_nondominated_thread_groups(
             cores, self.component)
 
@@ -124,7 +121,6 @@ class ComponentOptimizer:
         return ComponentOptResult(
             component=self.component,
             best=best,
-            elapsed_s=time.perf_counter() - started,
             assignments_tried=len(assignments),
             metrics=metrics,
             exec_model=self.exec_model,

@@ -15,9 +15,10 @@ the serial semantics bit for bit at any ``jobs``:
   batch-exact scoring (:meth:`BatchEvaluator.evaluate_batch`) or
   per-candidate scoring (:meth:`MakespanEvaluator.evaluate`).  A serial
   engine runs it inline; each pool worker runs it on its task, reduces
-  the results to plain values and ships them back with a timeout
-  marker, and the parent adopts them through
-  :meth:`MakespanEvaluator.record`;
+  the results to plain values and ships them back with a timed-out
+  flag, and the parent adopts them through
+  :meth:`MakespanEvaluator.record`, then raises its own deadline's
+  error if any task was cut short;
 * workers receive the component / platform / exec-model once, at pool
   start (the pool uses the ``fork`` start method, so the unpicklable
   statement compute closures are inherited, not serialized); task
@@ -34,7 +35,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -68,8 +68,6 @@ class EngineMetrics:
     invalid: int = 0
     dispatched: int = 0           # candidates sent to workers
     chunks: int = 0
-    elapsed_s: float = 0.0        # wall-clock inside evaluate calls
-    busy_s: float = 0.0           # summed worker compute time
     pruned: int = 0               # candidates discarded on a bound
     bound_hits: int = 0           # pruned candidates already in the cache
     batched: int = 0              # candidates decided by the vector engine
@@ -80,19 +78,8 @@ class EngineMetrics:
         return self.evaluations + self.memo_hits + self.cache_hits
 
     @property
-    def evaluations_per_s(self) -> float:
-        return self.evaluations / self.elapsed_s if self.elapsed_s else 0.0
-
-    @property
     def cache_hit_rate(self) -> float:
         return self.cache_hits / self.probes if self.probes else 0.0
-
-    @property
-    def worker_utilization(self) -> float:
-        """Fraction of the pool's capacity spent computing."""
-        if self.jobs <= 1 or self.elapsed_s <= 0.0:
-            return 1.0 if self.busy_s else 0.0
-        return min(1.0, self.busy_s / (self.elapsed_s * self.jobs))
 
     def merge(self, other: "EngineMetrics") -> "EngineMetrics":
         """Counter-summing combine for the shard/scenario merge paths.
@@ -113,8 +100,6 @@ class EngineMetrics:
             invalid=self.invalid + other.invalid,
             dispatched=self.dispatched + other.dispatched,
             chunks=self.chunks + other.chunks,
-            elapsed_s=self.elapsed_s + other.elapsed_s,
-            busy_s=self.busy_s + other.busy_s,
             pruned=self.pruned + other.pruned,
             bound_hits=self.bound_hits + other.bound_hits,
             batched=self.batched + other.batched,
@@ -177,18 +162,15 @@ _WORKER: Dict[str, object] = {}
 
 
 def _init_worker(component, platform, exec_model, segment_cap, modes,
-                 deadline, stage, budget_s, vectorize) -> None:
+                 deadline, vectorize) -> None:
     """Pool initializer: build this process's evaluator once.
 
     Under the fork start method the arguments are inherited by memory
-    copy, so the component's compute closures never need pickling.
-    ``perf_counter`` is CLOCK_MONOTONIC on Linux and therefore
-    comparable across the fork, which keeps the parent's deadline
-    meaningful inside workers."""
+    copy, so the component's compute closures never need pickling; the
+    parent's :class:`Deadline` stays armed in every worker."""
     evaluator = MakespanEvaluator(
-        component, platform, exec_model, segment_cap, modes)
-    if deadline is not None:
-        evaluator.set_deadline(deadline, stage, budget_s)
+        component, platform, exec_model, segment_cap, modes,
+        deadline=deadline)
     _WORKER["evaluator"] = evaluator
     _WORKER["batch"] = BatchEvaluator(evaluator) if vectorize else None
 
@@ -196,23 +178,19 @@ def _init_worker(component, platform, exec_model, segment_cap, modes,
 def _score_task(requests: Sequence[Request]):
     """Run :func:`score` on one task; ship plain values back.
 
-    Returns ``(outcomes, metrics, timeout)``: one ``(makespan, feasible,
-    reason, spm bytes, transferred bytes)`` tuple per finished solution,
-    the task's busy time and batch routing, and ``(stage, budget_s)``
-    when the deadline fired — :class:`OptimizerTimeout`'s two-argument
-    constructor does not survive pickling across the pool."""
-    started = time.perf_counter()
+    Returns ``(outcomes, metrics, timed_out)``: one ``(makespan,
+    feasible, reason, spm bytes, transferred bytes)`` tuple per finished
+    solution, the task's batch routing, and whether the deadline fired
+    — the parent raises its own deadline's error for that."""
     evaluator = _WORKER["evaluator"]
     solutions = [Solution(evaluator.component, tile_sizes, thread_groups)
                  for tile_sizes, thread_groups in requests]
     metrics = EngineMetrics()
     results, timeout = score(evaluator, _WORKER["batch"], solutions,
                              metrics, _WORKER_SUBBATCH)
-    metrics.busy_s = time.perf_counter() - started
     outcomes = [(r.makespan_ns, r.feasible, r.reason, r.spm_bytes_needed,
                  r.transferred_bytes) for r in results]
-    marker = None if timeout is None else (timeout.stage, timeout.budget_s)
-    return outcomes, metrics, marker
+    return outcomes, metrics, timeout is not None
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +239,6 @@ class EvaluationEngine:
                 initargs=(evaluator.component, evaluator.platform,
                           evaluator.exec_model, evaluator.segment_cap,
                           evaluator.modes, evaluator.deadline,
-                          evaluator.stage, evaluator.budget_s,
                           self.vectorize),
             )
         return self._pool
@@ -309,7 +286,6 @@ class EvaluationEngine:
         genuinely fresh solutions are scored.  A timeout raises
         :class:`OptimizerTimeout` after every outcome finished before
         the deadline has been adopted."""
-        started = time.perf_counter()
         evaluator = self.evaluator
         results: List[Optional[MakespanResult]] = [None] * len(requests)
         fresh: Dict[tuple, List[int]] = {}
@@ -345,7 +321,6 @@ class EvaluationEngine:
                         results[index] = result
             if timeout is not None:
                 raise timeout
-        self._metrics.elapsed_s += time.perf_counter() - started
         return results                                   # type: ignore
 
     def _dispatch(self, solutions: List[Solution]
@@ -365,14 +340,14 @@ class EvaluationEngine:
         self._metrics.chunks += count
         results: List[Optional[MakespanResult]] = [None] * len(solutions)
         timeout: Optional[OptimizerTimeout] = None
-        for group, (outcomes, metrics, marker) in zip(
+        for group, (outcomes, metrics, timed_out) in zip(
                 groups, pool.imap(_score_task, tasks)):
             self._metrics += metrics
             for index, outcome in zip(group, outcomes):
                 results[index] = self.evaluator.record(
                     solutions[index], *outcome)
-            if marker is not None and timeout is None:
-                timeout = OptimizerTimeout(*marker)
+            if timed_out and timeout is None:
+                timeout = self.evaluator.deadline.error()
         return results, timeout
 
     # -- walk accounting ---------------------------------------------------

@@ -14,8 +14,6 @@ The search size is guarded: by default it refuses spaces above
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -24,6 +22,7 @@ from ..errors import OptimizerError
 from ..loopir.component import TilableComponent
 from ..schedule.makespan import (
     DEFAULT_SEGMENT_CAP,
+    Deadline,
     MakespanEvaluator,
     MakespanResult,
 )
@@ -103,7 +102,7 @@ class ExhaustiveOptimizer:
                  exec_model: ExecModel,
                  segment_cap: int = DEFAULT_SEGMENT_CAP,
                  max_points: int = 20_000,
-                 deadline: float | None = None, budget_s: float = 0.0,
+                 deadline: Optional[Deadline] = None,
                  jobs: int = 1, cache: Optional[PersistentCache] = None,
                  vectorize: bool = False):
         self.component = component
@@ -117,13 +116,11 @@ class ExhaustiveOptimizer:
         #: ``SegmentPlanner.plan`` per fresh candidate.
         self.vectorize = vectorize
         self.evaluator = MakespanEvaluator(
-            component, platform, exec_model, segment_cap, cache=cache)
-        if deadline is not None:
-            self.evaluator.set_deadline(deadline, "exhaustive", budget_s)
+            component, platform, exec_model, segment_cap, cache=cache,
+            deadline=deadline)
 
     def optimize(self, cores: Optional[int] = None) -> ComponentOptResult:
         cores = cores if cores is not None else self.platform.cores
-        started = time.perf_counter()
         # The assignment list is generated exactly once: the space-size
         # guard and the search loop both derive from it.
         assignments = generate_nondominated_thread_groups(
@@ -150,7 +147,6 @@ class ExhaustiveOptimizer:
         return ComponentOptResult(
             component=self.component,
             best=best,
-            elapsed_s=time.perf_counter() - started,
             assignments_tried=len(assignments),
             metrics=metrics,
             exec_model=self.exec_model,

@@ -11,13 +11,12 @@ untiled (K = N).
 
 from __future__ import annotations
 
-import math
-import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..loopir.component import TilableComponent
 from ..schedule.makespan import (
     DEFAULT_SEGMENT_CAP,
+    Deadline,
     MakespanEvaluator,
     MakespanResult,
 )
@@ -36,15 +35,14 @@ class GreedyOptimizer:
     def __init__(self, component: TilableComponent, platform: Platform,
                  exec_model: ExecModel,
                  segment_cap: int = DEFAULT_SEGMENT_CAP,
-                 deadline: float | None = None, budget_s: float = 0.0,
+                 deadline: Optional[Deadline] = None,
                  cache: Optional[PersistentCache] = None):
         self.component = component
         self.platform = platform
         self.exec_model = exec_model
         self.evaluator = MakespanEvaluator(
-            component, platform, exec_model, segment_cap, cache=cache)
-        if deadline is not None:
-            self.evaluator.set_deadline(deadline, "greedy", budget_s)
+            component, platform, exec_model, segment_cap, cache=cache,
+            deadline=deadline)
         self.bounds = BoundCalculator(
             component, platform, exec_model, segment_cap,
             modes=self.evaluator.planner.modes,
@@ -53,7 +51,6 @@ class GreedyOptimizer:
 
     def optimize(self, cores: Optional[int] = None) -> ComponentOptResult:
         cores = cores if cores is not None else self.platform.cores
-        started = time.perf_counter()
         self._pruned = 0
         best: Optional[MakespanResult] = None
         nodes = self.component.nodes
@@ -73,7 +70,6 @@ class GreedyOptimizer:
         return ComponentOptResult(
             component=self.component,
             best=best,
-            elapsed_s=time.perf_counter() - started,
             assignments_tried=1,
             metrics=EngineMetrics(
                 evaluations=evaluator.evaluations,

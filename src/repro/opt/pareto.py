@@ -51,13 +51,13 @@ front is all the renderer needs (DESIGN.md §12).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..loopir.component import TilableComponent
 from ..schedule.makespan import (
     DEFAULT_SEGMENT_CAP,
+    Deadline,
     MakespanEvaluator,
     MakespanResult,
 )
@@ -319,7 +319,7 @@ class ParetoOptimizer:
                  exec_model: ExecModel,
                  segment_cap: int = DEFAULT_SEGMENT_CAP,
                  max_points: int = DEFAULT_PRUNED_MAX_POINTS,
-                 deadline: float | None = None, budget_s: float = 0.0,
+                 deadline: Optional[Deadline] = None,
                  jobs: int = 1, cache: Optional[PersistentCache] = None,
                  vectorize: bool = True, prune: bool = True,
                  shard_of: Optional[Tuple[int, int]] = None):
@@ -336,9 +336,8 @@ class ParetoOptimizer:
         #: so no incumbent exchange is needed or possible here.
         self.shard_of = validate_shard(shard_of)
         self.evaluator = MakespanEvaluator(
-            component, platform, exec_model, segment_cap, cache=cache)
-        if deadline is not None:
-            self.evaluator.set_deadline(deadline, "pareto", budget_s)
+            component, platform, exec_model, segment_cap, cache=cache,
+            deadline=deadline)
         self.bounds = BoundCalculator(
             component, platform, exec_model, segment_cap,
             modes=self.evaluator.planner.modes,
@@ -346,7 +345,6 @@ class ParetoOptimizer:
 
     def optimize(self, cores: Optional[int] = None) -> ParetoComponentResult:
         cores = cores if cores is not None else self.platform.cores
-        started = time.perf_counter()
         space = CandidateSpace(
             self.component, self.bounds, cores, self.max_points, "pareto",
             self.evaluator.check_deadline, vectorize=self.vectorize,
@@ -364,7 +362,6 @@ class ParetoOptimizer:
         return ParetoComponentResult(
             component=self.component,
             best=best,
-            elapsed_s=time.perf_counter() - started,
             assignments_tried=len(space.assignments),
             metrics=metrics,
             exec_model=self.exec_model,

@@ -34,11 +34,14 @@ entries; re-encountering one on a warm run counts as a *bound hit*.
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Tuple
 
 from ..loopir.component import TilableComponent
-from ..schedule.makespan import DEFAULT_SEGMENT_CAP, MakespanEvaluator
+from ..schedule.makespan import (
+    DEFAULT_SEGMENT_CAP,
+    Deadline,
+    MakespanEvaluator,
+)
 from ..timing.execmodel import ExecModel
 from ..timing.platform import Platform
 from .bounds import BoundCalculator
@@ -71,7 +74,7 @@ class PrunedOptimizer:
                  exec_model: ExecModel,
                  segment_cap: int = DEFAULT_SEGMENT_CAP,
                  max_points: int = DEFAULT_PRUNED_MAX_POINTS,
-                 deadline: float | None = None, budget_s: float = 0.0,
+                 deadline: Optional[Deadline] = None,
                  jobs: int = 1, cache: Optional[PersistentCache] = None,
                  vectorize: bool = True,
                  shard_of: Optional[Tuple[int, int]] = None,
@@ -96,9 +99,8 @@ class PrunedOptimizer:
         self.incumbent = (float(incumbent[0]), tuple(incumbent[1])) \
             if incumbent is not None else None
         self.evaluator = MakespanEvaluator(
-            component, platform, exec_model, segment_cap, cache=cache)
-        if deadline is not None:
-            self.evaluator.set_deadline(deadline, "pruned", budget_s)
+            component, platform, exec_model, segment_cap, cache=cache,
+            deadline=deadline)
         self.bounds = BoundCalculator(
             component, platform, exec_model, segment_cap,
             modes=self.evaluator.planner.modes,
@@ -106,7 +108,6 @@ class PrunedOptimizer:
 
     def optimize(self, cores: Optional[int] = None) -> ComponentOptResult:
         cores = cores if cores is not None else self.platform.cores
-        started = time.perf_counter()
         space = CandidateSpace(
             self.component, self.bounds, cores, self.max_points, "pruned",
             self.evaluator.check_deadline, vectorize=self.vectorize,
@@ -124,7 +125,6 @@ class PrunedOptimizer:
         return ComponentOptResult(
             component=self.component,
             best=best,
-            elapsed_s=time.perf_counter() - started,
             assignments_tried=len(space.assignments),
             metrics=metrics,
             exec_model=self.exec_model,

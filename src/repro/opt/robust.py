@@ -43,7 +43,6 @@ winner is bit-identical across re-runs and ``jobs`` settings.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,7 +55,11 @@ from ..faults.scenarios import (
     sample_scenarios,
 )
 from ..loopir.component import TilableComponent
-from ..schedule.makespan import DEFAULT_SEGMENT_CAP, MakespanEvaluator
+from ..schedule.makespan import (
+    DEFAULT_SEGMENT_CAP,
+    Deadline,
+    MakespanEvaluator,
+)
 from ..timing.execmodel import ExecModel
 from ..timing.platform import Platform
 from .bounds import BoundCalculator, flatten_key
@@ -65,13 +68,10 @@ from .component import ComponentOptResult
 from .engine import EngineMetrics, EvaluationEngine
 from .pruned import DEFAULT_PRUNED_MAX_POINTS, PrunedOptimizer
 from .solution import Solution
-from .walk import CandidateSpace, validate_shard
+from .walk import _DEADLINE_STRIDE, CandidateSpace, validate_shard
 
 #: The supported risk objectives.
 RISK_OBJECTIVES: Tuple[str, ...] = ("worst", "cvar", "mean")
-
-#: Deadline poll stride for the bound-only screening walk.
-_DEADLINE_STRIDE = 512
 
 
 def cvar_tail_count(count: int, alpha: float) -> int:
@@ -200,7 +200,7 @@ class RobustOptimizer:
                  scenarios: int = 32, seed: int = 0,
                  spread: float = DEFAULT_SPREAD,
                  risk: str = "cvar", alpha: float = 0.9,
-                 deadline: float | None = None, budget_s: float = 0.0,
+                 deadline: Optional[Deadline] = None,
                  jobs: int = 1, cache: Optional[PersistentCache] = None,
                  vectorize: bool = True,
                  shard_of: Optional[Tuple[int, int]] = None):
@@ -215,8 +215,6 @@ class RobustOptimizer:
         self.spread = spread
         self.jobs = jobs
         self.cache = cache
-        self.deadline = deadline
-        self.budget_s = budget_s
         self.vectorize = vectorize
         #: Restrict phases A and B to shard *i* of *n* of the sorted
         #: candidate list.  Unlike the nominal search, shards exchange
@@ -228,7 +226,7 @@ class RobustOptimizer:
         #: Phase A — the nominal search, shared guard and counters.
         self._nominal_search = PrunedOptimizer(
             component, platform, exec_model, segment_cap=segment_cap,
-            deadline=deadline, budget_s=budget_s, jobs=jobs, cache=cache,
+            deadline=deadline, jobs=jobs, cache=cache,
             vectorize=vectorize, shard_of=shard_of)
         self._scenario_evaluators: List[MakespanEvaluator] = []
         #: Phases B and C's counters: screening prunes plus one engine
@@ -244,17 +242,15 @@ class RobustOptimizer:
     # -- scenario plumbing -------------------------------------------------
 
     def _evaluator_for(self, scenario: TimingScenario) -> MakespanEvaluator:
-        evaluator = MakespanEvaluator(
+        return MakespanEvaluator(
             self.component,
             scenario.apply_platform(self.platform),
             scenario.apply_exec_model(self.exec_model),
             self.segment_cap,
             cache=self.cache,
             scenario=scenario.digest(),
+            deadline=self.evaluator.deadline,
         )
-        if self.deadline is not None:
-            evaluator.set_deadline(self.deadline, "robust", self.budget_s)
-        return evaluator
 
     def _scenario_values(self, solution: Solution) -> Tuple[float, ...]:
         """One candidate's makespan under every scenario, in order."""
@@ -272,7 +268,6 @@ class RobustOptimizer:
     def optimize(self, cores: Optional[int] = None
                  ) -> RobustComponentResult:
         cores = cores if cores is not None else self.platform.cores
-        started = time.perf_counter()
         self._metrics = EngineMetrics()
         self._probes = 0
         self._scenario_evaluators = []
@@ -284,8 +279,8 @@ class RobustOptimizer:
             # pruned search) or no feasible candidate at all — timing
             # perturbations cannot create feasibility, so there is
             # nothing to robustify.
-            return self._wrap(nominal, started, robust=None,
-                              nominal_risk=None, sensitivity=())
+            return self._wrap(nominal, robust=None, nominal_risk=None,
+                              sensitivity=())
 
         self._scenario_evaluators = [
             self._evaluator_for(s) for s in self.scenarios]
@@ -316,7 +311,7 @@ class RobustOptimizer:
                 risk_ns=self._risk(winner_values),
             )
         sensitivity = self._sensitivity(robust)
-        return self._wrap(nominal, started, robust=robust,
+        return self._wrap(nominal, robust=robust,
                           nominal_risk=nominal_risk,
                           sensitivity=sensitivity,
                           finalists=len(finalists))
@@ -447,7 +442,7 @@ class RobustOptimizer:
 
     # -- assembly ----------------------------------------------------------
 
-    def _wrap(self, nominal: ComponentOptResult, started: float,
+    def _wrap(self, nominal: ComponentOptResult,
               robust: Optional[CandidateRisk],
               nominal_risk: Optional[CandidateRisk],
               sensitivity: Tuple[SensitivityEntry, ...],
@@ -465,7 +460,6 @@ class RobustOptimizer:
         return RobustComponentResult(
             component=self.component,
             best=best,
-            elapsed_s=time.perf_counter() - started,
             assignments_tried=nominal.assignments_tried,
             metrics=nominal.metrics + self._metrics,
             exec_model=self.exec_model,

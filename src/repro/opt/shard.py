@@ -217,7 +217,7 @@ class StaticShardExchange:
                 "c": f"{self.space}:{self.index}",
                 "i": self.index, "w": self.worker,
                 "scored": result.evaluations, "pruned": result.pruned,
-                "elapsed_s": round(result.elapsed_s, 6), "ts": time.time(),
+                "ts": time.time(),
             })
             seen = _best_winner(mine)
             if rank is not None and (seen is None or rank < seen):

@@ -15,7 +15,6 @@ and cached, so a bus-speed or SPM sweep re-optimizes without re-profiling.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -53,7 +52,6 @@ class TreeOptResult:
     tree: LoopTree
     makespan_ns: float
     choices: List[ComponentChoice]
-    elapsed_s: float
     #: Counters summed over *every* component search Algorithm 2 ran,
     #: including parent chains it optimized and then rejected.
     metrics: EngineMetrics = field(default_factory=EngineMetrics)
@@ -121,7 +119,6 @@ class TreeOptimizer:
         """Run Algorithm 2; *optimize_fn* defaults to the serial,
         uncached heuristic (Algorithm 1) on every component."""
         cores = cores if cores is not None else platform.cores
-        started = time.perf_counter()
         self._platform = platform
         self._cores = cores
         self._chains_pruned = 0
@@ -141,7 +138,6 @@ class TreeOptimizer:
             tree=self.tree,
             makespan_ns=total,
             choices=choices,
-            elapsed_s=time.perf_counter() - started,
             metrics=self._metrics,
             chains_pruned=self._chains_pruned,
         )

@@ -45,7 +45,8 @@ from .exhaustive import (
 from .solution import Solution
 from .threadgroups import generate_nondominated_thread_groups
 
-#: Deadline poll stride for the bound-only enumeration.
+#: Deadline poll stride for the bound-only loops: this enumeration and
+#: the robust search's envelope screening.
 _DEADLINE_STRIDE = 512
 
 #: Window schedule ``(first, largest)`` of the per-candidate walk: the

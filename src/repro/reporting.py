@@ -12,7 +12,7 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 Cell = Union[str, int, float, None]
 
@@ -155,13 +155,12 @@ def engine_note(metrics) -> str:
     """One-line :class:`~repro.opt.engine.EngineMetrics` summary.
 
     Formatted for :meth:`ExperimentReport.add_note`, so every archived
-    bench records how its numbers were produced (pool width, evaluation
-    throughput, cache hit rate, worker utilization)."""
+    bench records how its numbers were produced: pool width, evaluation
+    and cache counts, and the prune and batch routing.  It prints no
+    times; each bench times its own work from outside."""
     parts = [f"engine: jobs={metrics.jobs}",
-             f"{metrics.evaluations:,} evals"]
-    if metrics.elapsed_s > 0:
-        parts.append(f"{metrics.evaluations_per_s:,.0f} evals/s")
-    parts.append(f"cache hit rate {metrics.cache_hit_rate:.1%}")
+             f"{metrics.evaluations:,} evals",
+             f"cache hit rate {metrics.cache_hit_rate:.1%}"]
     if metrics.pruned:
         parts.append(f"{metrics.pruned:,} pruned")
     if metrics.bound_hits:
@@ -170,9 +169,6 @@ def engine_note(metrics) -> str:
         parts.append(f"{metrics.batched:,} batched")
     if metrics.batch_fallbacks:
         parts.append(f"{metrics.batch_fallbacks:,} batch fallbacks")
-    if metrics.jobs > 1:
-        parts.append(
-            f"worker utilization {metrics.worker_utilization:.1%}")
     return ", ".join(parts)
 
 

@@ -29,6 +29,28 @@ from .pipeline import PipelineResult, evaluate_pipeline
 DEFAULT_SEGMENT_CAP = 8192
 
 
+@dataclass(frozen=True)
+class Deadline:
+    """One search's wall-clock budget, built once per compile.
+
+    *at* is a ``time.perf_counter()`` instant: CLOCK_MONOTONIC on Linux
+    and therefore comparable across a fork, so pool workers check the
+    very value their parent armed.  *stage* and *budget_s* only name
+    the :class:`OptimizerTimeout` a late check raises."""
+
+    stage: str
+    budget_s: float
+    at: float
+
+    def error(self) -> OptimizerTimeout:
+        return OptimizerTimeout(self.stage, self.budget_s)
+
+    def check(self) -> None:
+        """Raise :meth:`error` once the deadline has passed."""
+        if time.perf_counter() > self.at:
+            raise self.error()
+
+
 @dataclass
 class MakespanResult:
     """Outcome of evaluating one solution for one component execution."""
@@ -73,7 +95,8 @@ class MakespanEvaluator:
                  segment_cap: int = DEFAULT_SEGMENT_CAP,
                  modes: Mapping[str, str] | None = None,
                  cache: Optional[PersistentCache] = None,
-                 scenario: Optional[str] = None):
+                 scenario: Optional[str] = None,
+                 deadline: Optional[Deadline] = None):
         self.component = component
         self.platform = platform
         self.exec_model = exec_model
@@ -89,9 +112,9 @@ class MakespanEvaluator:
         self.evaluations = 0
         self.memo_hits = 0
         self.cache_hits = 0        # persistent-cache hits
-        self.deadline: Optional[float] = None
-        self.stage: str = "optimize"
-        self.budget_s: float = 0.0
+        #: Every *fresh* evaluation checks it first — the hook that
+        #: bounds each search; cache hits stay free of the check.
+        self.deadline = deadline
         self.cache: Optional[PersistentCache] = None
         self._context_hash: Optional[str] = None
         if cache is not None:
@@ -117,25 +140,10 @@ class MakespanEvaluator:
         assert self._context_hash is not None
         return solution_digest(self._context_hash, key)
 
-    def set_deadline(self, deadline: Optional[float],
-                     stage: str = "optimize",
-                     budget_s: float = 0.0) -> None:
-        """Arm a cooperative wall-clock budget.
-
-        Every *fresh* evaluation first checks the clock and raises
-        :class:`OptimizerTimeout` once the deadline has passed — the
-        hook the compiler's fallback chain relies on to bound each
-        optimization stage.  Cache hits stay free of the check.
-        """
-        self.deadline = deadline
-        self.stage = stage
-        self.budget_s = budget_s
-
     def check_deadline(self) -> None:
-        """Raise :class:`OptimizerTimeout` once the armed budget passed."""
-        if self.deadline is not None and \
-                time.perf_counter() > self.deadline:
-            raise OptimizerTimeout(self.stage, self.budget_s)
+        """Raise :class:`OptimizerTimeout` once the deadline passed."""
+        if self.deadline is not None:
+            self.deadline.check()
 
     def peek(self, solution: Solution) -> Optional[MakespanResult]:
         """Cached result for *solution* without planning: the in-memory

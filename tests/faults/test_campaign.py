@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import ALL_KINDS, run_campaign
+from repro.faults import ALL_KINDS, run_campaign, run_static_campaign
 
 
 @pytest.mark.parametrize("kernel", ["cnn", "lstm"])
@@ -27,3 +27,21 @@ class TestCampaign:
         for kind in ALL_KINDS:
             assert kind in text
         assert "total" in text and "OK" in text
+
+
+class TestEmptyCampaignsRejected:
+    """A campaign that injects nothing must not report a pass."""
+
+    @pytest.mark.parametrize("per_kind", [0, -1])
+    def test_per_kind_below_one(self, per_kind):
+        with pytest.raises(ValueError, match="per_kind"):
+            run_campaign("rnn", preset="MINI", per_kind=per_kind)
+
+    def test_empty_kinds(self):
+        with pytest.raises(ValueError, match="kinds"):
+            run_campaign("rnn", preset="MINI", kinds=())
+
+    @pytest.mark.parametrize("cases", [0, -3])
+    def test_static_cases_below_one(self, cases):
+        with pytest.raises(ValueError, match="cases"):
+            run_static_campaign("rnn", preset="MINI", cases=cases)

@@ -138,6 +138,16 @@ class TestGracefulDegradation:
         with pytest.raises(OptimizerTimeout, match="greedy"):
             PremCompiler().compile(kernel, strategy="greedy", budget_s=0.0)
 
+    @pytest.mark.parametrize("strategy", [
+        "heuristic", "greedy", "exhaustive", "pruned", "pareto", "robust"])
+    def test_zero_budget_timeout_names_its_strategy(self, strategy):
+        # One deadline per compile, named after the strategy: robust's
+        # nominal phase must not report itself as "pruned".
+        kernel = make_kernel("rnn", "MINI")
+        with pytest.raises(OptimizerTimeout) as exc:
+            PremCompiler().compile(kernel, strategy=strategy, budget_s=0.0)
+        assert (exc.value.stage, exc.value.budget_s) == (strategy, 0.0)
+
     def test_sequential_makespan_matches_machine_model(self):
         kernel = make_kernel("maxpool", "MINI")
         compiler = PremCompiler()

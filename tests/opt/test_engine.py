@@ -28,7 +28,11 @@ from repro.opt.exhaustive import ExhaustiveOptimizer, best_of
 from repro.opt.pruned import PrunedOptimizer
 from repro.opt.solution import Solution
 from repro.opt.vectorized import BatchEvaluator
-from repro.schedule.makespan import MakespanEvaluator, MakespanResult
+from repro.schedule.makespan import (
+    Deadline,
+    MakespanEvaluator,
+    MakespanResult,
+)
 from repro.sim.profiler import fit_component_model
 from repro.timing.platform import Platform
 
@@ -176,18 +180,19 @@ class TestParallelEngine:
         assert metrics.dispatched == 4
         assert metrics.evaluations == 4
         assert metrics.probes == 4
-        assert 0.0 <= metrics.worker_utilization <= 1.0
 
     def test_timeout_crosses_pool_boundary(self, b0):
         comp, model = b0
-        evaluator = MakespanEvaluator(comp, Platform(), model)
-        evaluator.set_deadline(0.0, "engine-test", 0.25)
+        evaluator = MakespanEvaluator(
+            comp, Platform(), model,
+            deadline=Deadline("engine-test", 0.25, 0.0))
         requests = [({"b_0": k}, {"b_0": 1}) for k in (1, 2, 5, 10)]
         with eight_cpus(), \
                 EvaluationEngine(evaluator, jobs=2) as engine:
             with pytest.raises(OptimizerTimeout) as exc:
                 engine.evaluate_many(requests)
         assert exc.value.stage == "engine-test"
+        assert exc.value.budget_s == 0.25
 
     def test_warm_cache_skips_dispatch(self, b0, tmp_path):
         comp, model = b0

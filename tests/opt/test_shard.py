@@ -259,8 +259,7 @@ def _fake_result(makespan_ns, key=(("i", 4, 2),)):
     """The fields of a search result that a shard publishes."""
     best = SimpleNamespace(feasible=True, makespan_ns=makespan_ns,
                            solution=SimpleNamespace(key=lambda: key))
-    return SimpleNamespace(best=best, evaluations=1, pruned=0,
-                           elapsed_s=0.0)
+    return SimpleNamespace(best=best, evaluations=1, pruned=0)
 
 
 class TestPublish:
@@ -488,17 +487,16 @@ class TestEngineMetricsMerge:
     def test_merge_sums_counters_and_maxes_jobs(self):
         a = EngineMetrics(jobs=2, evaluations=3, memo_hits=1,
                           cache_hits=2, pruned=4, bound_hits=1,
-                          batched=5, batch_fallbacks=1, elapsed_s=0.5)
+                          batched=5, batch_fallbacks=1)
         b = EngineMetrics(jobs=4, evaluations=7, memo_hits=2,
                           cache_hits=1, pruned=6, bound_hits=2,
-                          batched=3, batch_fallbacks=2, elapsed_s=0.25)
+                          batched=3, batch_fallbacks=2)
         merged = a.merge(b)
         assert merged.jobs == 4
         assert merged.evaluations == 10
         assert merged.memo_hits == 3 and merged.cache_hits == 3
         assert merged.pruned == 10 and merged.bound_hits == 3
         assert merged.batched == 8 and merged.batch_fallbacks == 3
-        assert merged.elapsed_s == pytest.approx(0.75)
 
     def test_sum_builtin_merges_a_list(self):
         parts = [EngineMetrics(jobs=1, evaluations=2),
