@@ -272,11 +272,12 @@ def _compute_footprints(component: TilableComponent, solution: Solution,
 
 
 def _dedupe(hulls: List[CanonicalRange]) -> Tuple[CanonicalRange, ...]:
-    unique: List[CanonicalRange] = []
+    """First occurrence of each symbolically distinct hull, in order
+    (``(lo, hi)`` equality is :meth:`CanonicalRange.same_as`)."""
+    unique: Dict[Tuple[object, object], CanonicalRange] = {}
     for hull in hulls:
-        if not any(hull.same_as(kept) for kept in unique):
-            unique.append(hull)
-    return tuple(unique)
+        unique.setdefault((hull.lo, hull.hi), hull)
+    return tuple(unique.values())
 
 
 def build_context(component: TilableComponent, solution: Solution,

@@ -335,12 +335,12 @@ class PremCompiler:
         offered = dict(jobs=self.jobs, seed=self.seed, shard_of=shards,
                        scenarios=scenarios, risk=risk, alpha=alpha,
                        spread=spread)
-        keywords = dict(
-            cache=self.cache,
-            deadline=None if budget_s is None else Deadline(
-                strategy, budget_s, time.perf_counter() + budget_s),
-            **{name: offered[name] for name in extras})
-        result = TreeOptimizer(tree, machine=self.machine).optimize(
+        deadline = None if budget_s is None else Deadline(
+            strategy, budget_s, time.perf_counter() + budget_s)
+        keywords = dict(cache=self.cache, deadline=deadline,
+                        **{name: offered[name] for name in extras})
+        result = TreeOptimizer(
+            tree, machine=self.machine, deadline=deadline).optimize(
             self.platform, cores=cores, optimize_fn=functools.partial(
                 self._optimize_component, strategy, cores, keywords))
 

@@ -359,7 +359,7 @@ class RobustOptimizer:
             if math.isinf(refined) or (refined, flat) >= incumbent_rank:
                 self._metrics.pruned += 1
                 continue
-            finalists[flat] = (refined, space.solution(pos))
+            finalists[flat] = (refined, space.solution(candidate))
         return finalists
 
     # -- phase C: scenario-major scoring -----------------------------------

@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..loopir.component import TilableComponent
 from ..loopir.looptree import LoopTree, LoopTreeNode
 from ..loopir.validity import is_chain_extendable
+from ..schedule.makespan import Deadline
 from ..sim.machine import MachineModel
 from ..sim.profiler import fit_component_model
 from ..timing.execmodel import ExecModel
@@ -94,9 +95,11 @@ class TreeOptimizer:
     """Runs Algorithm 2; pluggable per-component optimizer (heuristic or
     greedy) and cached execution-model fits."""
 
-    def __init__(self, tree: LoopTree, machine: MachineModel | None = None):
+    def __init__(self, tree: LoopTree, machine: MachineModel | None = None,
+                 deadline: Optional[Deadline] = None):
         self.tree = tree
         self.machine = machine or MachineModel()
+        self.deadline = deadline
         self._models: Dict[Tuple[str, ...], ExecModel] = {}
         self._platform: Optional[Platform] = None
         self._cores = 0
@@ -107,6 +110,10 @@ class TreeOptimizer:
         key = component.band_vars
         model = self._models.get(key)
         if model is None:
+            # A fit can cost a second (the first one imports scipy), so
+            # the search's deadline is checked before each one.
+            if self.deadline is not None:
+                self.deadline.check()
             model = fit_component_model(component, self.machine)
             self._models[key] = model
         return model

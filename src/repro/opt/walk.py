@@ -7,7 +7,7 @@ bound rules out, and score the rest.  This module holds that rule once.
 :class:`CandidateSpace` is the space: the non-dominated thread-group
 assignments, the ``max_points`` guard, the quick-bound enumeration
 (sorted by ``(bound, flat key)``), the optional ``shard_of`` round-robin
-slice, and the :class:`Solution` at each position.
+slice, and the :class:`Solution` of each candidate record.
 
 :func:`walk` is the loop.  It collects candidates into windows that
 double from ``windows[0]`` to ``windows[1]`` slots.  A memo or cache hit
@@ -28,8 +28,9 @@ one step; the Pareto dominance archive lives with the front code in
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +49,9 @@ from .threadgroups import generate_nondominated_thread_groups
 #: Deadline poll stride for the bound-only loops: this enumeration and
 #: the robust search's envelope screening.
 _DEADLINE_STRIDE = 512
+
+#: Records :class:`CandidateList` converts per step of an iteration.
+_ITER_CHUNK = 1024
 
 #: Window schedule ``(first, largest)`` of the per-candidate walk: the
 #: incumbent advances after every candidate.
@@ -83,63 +87,128 @@ def validate_shard(shard_of: Optional[Tuple[int, int]]
     return index, count
 
 
+class CandidateList(Sequence):
+    """The sorted candidate records of one space, held as arrays.
+
+    *bounds*, *sizes* (one row of tile sizes per candidate) and *ai*
+    (assignment index) are parallel arrays in ``(bound, flat key)``
+    order.  A :data:`Candidate` tuple is built only when a position is
+    indexed or iterated, so a walk that cuts the sorted tail early never
+    pays for the records it does not visit.  A slice is another
+    :class:`CandidateList` over the same assignments (the shard
+    slice)."""
+
+    __slots__ = ("bounds", "sizes", "ai", "assignments")
+
+    def __init__(self, bounds: np.ndarray, sizes: np.ndarray,
+                 ai: np.ndarray, assignments: Sequence[Tuple[int, ...]]):
+        self.bounds = bounds
+        self.sizes = sizes
+        self.ai = ai
+        self.assignments = assignments
+
+    def __len__(self) -> int:
+        return len(self.bounds)
+
+    def __getitem__(self, pos):
+        if isinstance(pos, slice):
+            return CandidateList(self.bounds[pos], self.sizes[pos],
+                                 self.ai[pos], self.assignments)
+        return self._record(float(self.bounds[pos]),
+                            tuple(self.sizes[pos].tolist()),
+                            int(self.ai[pos]))
+
+    def __iter__(self):
+        # Converted a chunk at a time: a walk that stops early converts
+        # little, and a full pass avoids one numpy access per field.
+        for start in range(0, len(self.bounds), _ITER_CHUNK):
+            stop = start + _ITER_CHUNK
+            for bound, sizes, ai in zip(self.bounds[start:stop].tolist(),
+                                        self.sizes[start:stop].tolist(),
+                                        self.ai[start:stop].tolist()):
+                yield self._record(bound, tuple(sizes), ai)
+
+    def _record(self, bound: float, sizes: Tuple[int, ...],
+                ai: int) -> Candidate:
+        flat = tuple(x for k, r in zip(sizes, self.assignments[ai])
+                     for x in (k, r))
+        return bound, flat, sizes, ai
+
+
 def enumerate_candidates(component: TilableComponent,
                          assignments: Sequence[Tuple[int, ...]],
                          bounds: BoundCalculator,
                          check: Callable[[], None],
                          vectorize: bool = True
-                         ) -> Tuple[List[Candidate],
+                         ) -> Tuple[CandidateList,
                                     List[Dict[str, int]], int]:
     """Quick-bound every candidate point; sort survivors best-bound-first.
 
     Returns ``(candidates, groups_maps, pruned)`` where *pruned* counts
     the provably infeasible points (quick bound of +inf) that never
     entered the list: an admissible bound of infinity means the planner
-    is guaranteed to reject them.  The vectorized path screens each
-    assignment's whole tile-size grid through :meth:`BoundCalculator.
-    quick_bound_array` — bitwise the same bounds, so the same candidate
-    list and the same pruned count as the scalar loop."""
-    candidates: List[Candidate] = []
+    is guaranteed to reject them.  Each assignment's tile-size grid is
+    bounded as one array — by :meth:`BoundCalculator.quick_bound_array`,
+    or point by point through :meth:`BoundCalculator.quick_bound` when
+    *vectorize* is off; the two are bitwise the same, so both give the
+    same candidate list and the same pruned count.  The survivors of
+    every assignment are then ordered by one ``np.lexsort`` on
+    ``(bound, flat key)``, the order of sorting the record tuples."""
+    depth = len(component.nodes)
     groups_maps: List[Dict[str, int]] = []
+    bound_parts = [np.empty(0, dtype=np.float64)]
+    size_parts = [np.empty((0, depth), dtype=np.int64)]
+    ai_parts = [np.empty(0, dtype=np.int64)]
     pruned = 0
-    seen = 0
     for ai, assignment in enumerate(assignments):
         groups, candidate_lists = assignment_candidates(
             component, assignment)
         groups_maps.append(groups)
+        check()
         if vectorize:
-            check()
             bound_arr = bounds.quick_bound_array(candidate_lists, assignment)
-            finite = np.flatnonzero(np.isfinite(bound_arr))
-            pruned += len(bound_arr) - len(finite)
-            if not len(finite):
-                continue
-            shape = tuple(len(lst) for lst in candidate_lists)
-            multi = np.unravel_index(finite, shape)
-            for t in range(len(finite)):
-                if t % _DEADLINE_STRIDE == 0:
-                    check()
-                sizes = tuple(
-                    lst[axis[t]]
-                    for lst, axis in zip(candidate_lists, multi))
-                flat = tuple(
-                    x for k, r in zip(sizes, assignment) for x in (k, r))
-                candidates.append(
-                    (float(bound_arr[finite[t]]), flat, sizes, ai))
         else:
-            for sizes in product(*candidate_lists):
-                seen += 1
-                if seen % _DEADLINE_STRIDE == 0:
-                    check()
-                bound = bounds.quick_bound(sizes, assignment)
-                if math.isinf(bound):
-                    pruned += 1
-                    continue
-                flat = tuple(
-                    x for k, r in zip(sizes, assignment) for x in (k, r))
-                candidates.append((bound, flat, sizes, ai))
-    candidates.sort()
+            bound_arr = _scalar_bounds(bounds, candidate_lists, assignment,
+                                       check)
+        finite = np.flatnonzero(np.isfinite(bound_arr))
+        pruned += len(bound_arr) - len(finite)
+        if not len(finite):
+            continue
+        shape = tuple(len(lst) for lst in candidate_lists)
+        multi = np.unravel_index(finite, shape)
+        bound_parts.append(bound_arr[finite])
+        size_parts.append(np.stack(
+            [np.asarray(lst, dtype=np.int64)[axis]
+             for lst, axis in zip(candidate_lists, multi)], axis=1))
+        ai_parts.append(np.full(len(finite), ai, dtype=np.int64))
+    bound_all = np.concatenate(bound_parts)
+    sizes_all = np.concatenate(size_parts)
+    ai_all = np.concatenate(ai_parts)
+    groups_all = np.asarray(assignments, dtype=np.int64).reshape(
+        len(assignments), depth)[ai_all]
+    # The flat key interleaves (size, groups) per level; np.lexsort's
+    # last key is the primary one.
+    flat_columns = [column for level in range(depth)
+                    for column in (sizes_all[:, level], groups_all[:, level])]
+    order = np.lexsort(flat_columns[::-1] + [bound_all])
+    candidates = CandidateList(bound_all[order], sizes_all[order],
+                               ai_all[order], assignments)
     return candidates, groups_maps, pruned
+
+
+def _scalar_bounds(bounds: BoundCalculator,
+                   candidate_lists: Sequence[Sequence[int]],
+                   assignment: Tuple[int, ...],
+                   check: Callable[[], None]) -> np.ndarray:
+    """:meth:`BoundCalculator.quick_bound` over one assignment's grid,
+    in ``itertools.product`` order (the layout of
+    :meth:`BoundCalculator.quick_bound_array`)."""
+    out = []
+    for seen, sizes in enumerate(product(*candidate_lists), 1):
+        if seen % _DEADLINE_STRIDE == 0:
+            check()
+        out.append(bounds.quick_bound(sizes, assignment))
+    return np.asarray(out, dtype=np.float64)
 
 
 class CandidateSpace:
@@ -178,8 +247,8 @@ class CandidateSpace:
             self.enum_pruned = len(range(index, self.enum_pruned, count))
         self._vars = [node.var for node in component.nodes]
 
-    def solution(self, pos: int) -> Solution:
-        _bound, _flat, sizes, ai = self.candidates[pos]
+    def solution(self, candidate: Candidate) -> Solution:
+        _bound, _flat, sizes, ai = candidate
         return Solution(self.component, dict(zip(self._vars, sizes)),
                         self.groups_maps[ai])
 
@@ -252,7 +321,7 @@ def walk(space: CandidateSpace, engine: EvaluationEngine, acceptor,
                 engine.note_pruned(total - pos)
                 pos = total
                 break
-            solution = space.solution(pos)
+            solution = space.solution(candidate)
             pos += 1
             hit = evaluator.peek(solution)
             if hit is not None:

@@ -13,7 +13,7 @@ Expressions are immutable and hashable; arithmetic returns new objects.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import ItemsView, Iterable, Mapping, Union
 
 Number = Union[int, Fraction]
 ExprLike = Union["AffineExpr", int, str]
@@ -73,7 +73,7 @@ class AffineExpr:
     def constant(self) -> Number:
         return self._const
 
-    def terms(self):
+    def terms(self) -> ItemsView[str, Number]:
         """Read-only ``(var, coeff)`` view of the non-zero terms, in
         variable order; unlike :attr:`coeffs` it copies nothing."""
         return self._coeffs.items()

@@ -1,6 +1,5 @@
-"""PREM schedule evaluation: phase DAG, pipeline recurrence, makespan."""
+"""PREM schedule evaluation: pipeline recurrence, makespan."""
 
-from .dag import build_phase_dag, dag_makespan
 from .gantt import render_gantt, schedule_spans
 from .makespan import (
     DEFAULT_SEGMENT_CAP,
@@ -21,7 +20,6 @@ from .validate import (
 )
 
 __all__ = [
-    "build_phase_dag", "dag_makespan",
     "render_gantt", "schedule_spans",
     "DEFAULT_SEGMENT_CAP", "MakespanEvaluator", "MakespanResult",
     "PipelineOp", "PipelineResult", "evaluate_pipeline", "static_timeline",

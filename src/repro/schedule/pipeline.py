@@ -12,8 +12,9 @@ of the recurrences:
 where ``M`` are DMA (memory-phase) completions in round-robin order
 (slot-major, then core), ``E(i, 0)`` is the initialisation segment, and
 ``dep_slot`` points at the slot whose transfers segment ``s`` needs.
-:mod:`repro.schedule.dag` builds the explicit DAG for inspection and as a
-cross-check; this module is the fast evaluator used inside the optimizer.
+The test suite's phase-DAG oracle (``tests/schedule/dag.py``) builds the
+explicit DAG as a cross-check; this module is the fast evaluator used
+inside the optimizer.
 
 :func:`evaluate_pipeline` is the one copy of the recurrence: the
 serial evaluator, the Gantt renderer, the fault replay and the batch

@@ -22,6 +22,12 @@ from repro.prem.ranges import (
     tile_box,
 )
 from repro.poly.access import Array
+from tests.strategies import (
+    affine_exprs,
+    bound_pairs,
+    boxes,
+    canonical_ranges,
+)
 
 
 @pytest.fixture(scope="module")
@@ -226,51 +232,6 @@ def reference_ranges_overlap(a, b):
                 b_hi.constant < a_lo.constant:
             return False
     return True
-
-
-BOX_VARS = ("i", "j", "k")
-OUTER_VARS = ("t", "u")           # enclosing iterators, never in a box
-coefficients = st.integers(-4, 4)
-constants = st.integers(-20, 20)
-
-
-def affine_exprs(variables=BOX_VARS + OUTER_VARS):
-    return st.builds(
-        AffineExpr,
-        st.dictionaries(st.sampled_from(variables), coefficients),
-        constants)
-
-
-@st.composite
-def boxes(draw):
-    box = {}
-    for var in draw(st.lists(st.sampled_from(BOX_VARS), unique=True)):
-        low = draw(st.integers(-10, 10))
-        box[var] = (low, low + draw(st.integers(0, 10)))
-    return box
-
-
-@st.composite
-def bound_pairs(draw):
-    """Two bounds that share their outer terms (differing only in the
-    constant) or are drawn independently, so the coefficient maps
-    mostly mismatch."""
-    if draw(st.booleans()):
-        terms = draw(st.dictionaries(st.sampled_from(OUTER_VARS),
-                                     coefficients))
-        return AffineExpr(terms, draw(constants)), \
-            AffineExpr(terms, draw(constants))
-    outer = affine_exprs(OUTER_VARS)
-    return draw(outer), draw(outer)
-
-
-@st.composite
-def canonical_ranges(draw, ndim):
-    """A hull with one (lo, hi) bound pair per dimension."""
-    pairs = [draw(bound_pairs()) for _ in range(ndim)]
-    return CanonicalRange(Array("a", (64,) * ndim),
-                          tuple(lo for lo, _ in pairs),
-                          tuple(hi for _, hi in pairs))
 
 
 class TestHullArithmeticOracles:

@@ -7,7 +7,7 @@ from repro.loopir import LoopTree
 from repro.loopir.component import component_at
 from repro.opt.solution import Solution
 from repro.prem.segments import CoreSchedule, SegmentPlanner
-from repro.schedule.dag import build_phase_dag, dag_makespan
+from tests.schedule.dag import build_phase_dag, dag_makespan
 from repro.schedule.pipeline import evaluate_pipeline
 from repro.sim.profiler import fit_component_model
 from repro.timing.platform import Platform

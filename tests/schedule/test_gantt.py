@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.prem.segments import CoreSchedule
-from repro.schedule.dag import dag_makespan
+from tests.schedule.dag import dag_makespan
 from repro.schedule.gantt import render_gantt, schedule_spans
 from repro.schedule.pipeline import evaluate_pipeline
 

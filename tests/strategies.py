@@ -1,9 +1,13 @@
-"""Shared hypothesis strategies for the search-parity property tests."""
+"""Shared hypothesis strategies for the property tests: random kernels
+for the search-parity tests, symbolic hulls for the range and race
+tests."""
 
 from hypothesis import strategies as st
 
 from repro.loopir.builder import for_, kernel_, stmt_
 from repro.poly.access import Array
+from repro.poly.affine import AffineExpr
+from repro.prem.ranges import CanonicalRange
 
 
 @st.composite
@@ -32,3 +36,48 @@ def random_kernels(draw):
     for var, n in zip(reversed(vars_), reversed(ns)):
         loop = for_(var, n, loop)
     return kernel_("rand", list(arrays.values()), [loop]), vars_
+
+
+BOX_VARS = ("i", "j", "k")
+OUTER_VARS = ("t", "u")           # enclosing iterators, never in a box
+coefficients = st.integers(-4, 4)
+constants = st.integers(-20, 20)
+
+
+def affine_exprs(variables=BOX_VARS + OUTER_VARS):
+    return st.builds(
+        AffineExpr,
+        st.dictionaries(st.sampled_from(variables), coefficients),
+        constants)
+
+
+@st.composite
+def boxes(draw):
+    box = {}
+    for var in draw(st.lists(st.sampled_from(BOX_VARS), unique=True)):
+        low = draw(st.integers(-10, 10))
+        box[var] = (low, low + draw(st.integers(0, 10)))
+    return box
+
+
+@st.composite
+def bound_pairs(draw):
+    """Two bounds that share their outer terms (differing only in the
+    constant) or are drawn independently, so the coefficient maps
+    mostly mismatch."""
+    if draw(st.booleans()):
+        terms = draw(st.dictionaries(st.sampled_from(OUTER_VARS),
+                                     coefficients))
+        return AffineExpr(terms, draw(constants)), \
+            AffineExpr(terms, draw(constants))
+    outer = affine_exprs(OUTER_VARS)
+    return draw(outer), draw(outer)
+
+
+@st.composite
+def canonical_ranges(draw, ndim):
+    """A hull with one (lo, hi) bound pair per dimension."""
+    pairs = [draw(bound_pairs()) for _ in range(ndim)]
+    return CanonicalRange(Array("a", (64,) * ndim),
+                          tuple(lo for lo, _ in pairs),
+                          tuple(hi for _, hi in pairs))
