@@ -132,15 +132,11 @@ def test_v1_batch_throughput_cnn_large(bank, benchmark):
 
     serial_ev = MakespanEvaluator(comp, platform, model)
     batch_ev = MakespanEvaluator(comp, platform, model)
-    # Warm both arms' geometry through refine, exactly the wiring the
-    # pruned walk uses before exact scoring — so the shoot-out measures
-    # scoring, not first-touch geometry construction.
-    for evaluator in (serial_ev, batch_ev):
-        warm_bounds = BoundCalculator(
-            comp, platform, model, geometry=evaluator.geometry)
-        for (quick, sizes, gmap), _sol in zip(top, solutions):
-            warm_bounds.refine(
-                quick, sizes, tuple(gmap[v] for v in vars_))
+    # Warm the component's shared geometry through refine, exactly the
+    # wiring the pruned walk uses before exact scoring — so the
+    # shoot-out measures scoring, not first-touch geometry construction.
+    for quick, sizes, gmap in top:
+        bounds.refine(quick, sizes, tuple(gmap[v] for v in vars_))
 
     def run():
         started = time.perf_counter()

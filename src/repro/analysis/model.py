@@ -25,13 +25,13 @@ import cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..loopir.component import TilableComponent
 from ..opt.solution import Solution
 from ..prem.macros import ArraySwapSchedule, MacroBuilder
 from ..prem.ranges import CanonicalRange, access_range, tile_box
-from ..prem.segments import RO, RW, WO, ArrayGeometry, ComponentPlan
+from ..prem.segments import RO, RW, WO, ComponentPlan
 from ..prem.swapgen import validate_swap_call
 from ..timing.platform import Platform
 
@@ -224,14 +224,13 @@ class AnalysisContext:
         """
         if self.footprints is None:
             self.footprints = _compute_footprints(
-                self.component, self.solution, self.platform, self.modes)
+                self.component, self.solution)
         return self.footprints
 
 
-def _compute_footprints(component: TilableComponent, solution: Solution,
-                        platform: Platform, modes: Mapping[str, str]
+def _compute_footprints(component: TilableComponent, solution: Solution
                         ) -> Dict[int, Dict[str, Footprint]]:
-    geometry = ArrayGeometry(component, platform, exec_model=None)
+    geometry = component.geometry
     names = list(component.arrays())
     sizes = solution.tile_sizes
     out: Dict[int, Dict[str, Footprint]] = {}
@@ -308,7 +307,7 @@ def build_context(component: TilableComponent, solution: Solution,
             for name, schedule in schedules.items()
         }
     bounding_bytes = {
-        name: _shape_bytes(component, name, builder.bounding_shapes[name])
+        name: component.geometry.bounding_bytes(name, solution.tile_sizes)
         for name in component.arrays()
     }
     return AnalysisContext(
@@ -321,11 +320,3 @@ def build_context(component: TilableComponent, solution: Solution,
         dealloc_segments=deallocs,
         plan=plan,
     )
-
-
-def _shape_bytes(component: TilableComponent, name: str,
-                 shape: Tuple[int, ...]) -> int:
-    total = component.arrays()[name].element_size
-    for extent in shape:
-        total *= extent
-    return total

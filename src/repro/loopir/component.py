@@ -10,11 +10,15 @@ captures the *structure*; tiling parameters live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
 from ..poly.access import Access, Array
 from .ast import Kernel, Loop, Stmt
 from .looptree import LoopTree, LoopTreeNode
+
+if TYPE_CHECKING:
+    from ..prem.segments import TileGeometry
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,14 @@ class TilableComponent:
 
         descend(last)
         return box
+
+    @cached_property
+    def geometry(self) -> TileGeometry:
+        """The one :class:`~repro.prem.segments.TileGeometry` every
+        consumer of this component shares; it lives as long as the
+        component."""
+        from ..prem.segments import TileGeometry
+        return TileGeometry(self)
 
     def label(self) -> str:
         return "(" + ", ".join(self.band_vars) + ")"

@@ -43,9 +43,10 @@ import numpy as np
 
 from ..loopir.component import TilableComponent
 from ..prem.ranges import _stmt_guards, partial_bounds
-from ..prem.segments import RO, RW, WO, ArrayGeometry, classify_modes
+from ..prem.segments import RO, RW, WO, classify_modes
 from ..schedule.makespan import DEFAULT_SEGMENT_CAP
 from ..timing.execmodel import ExecModel
+from ..timing.memory import transfer_time_ns
 from ..timing.platform import Platform
 
 #: Safety factor absorbing re-association rounding (see module docstring).
@@ -97,15 +98,13 @@ class BoundCalculator:
     def __init__(self, component: TilableComponent, platform: Platform,
                  exec_model: ExecModel,
                  segment_cap: int = DEFAULT_SEGMENT_CAP,
-                 modes: Mapping[str, str] | None = None,
-                 geometry: ArrayGeometry | None = None):
+                 modes: Mapping[str, str] | None = None):
         self.component = component
         self.platform = platform
         self.exec_model = exec_model
         self.segment_cap = segment_cap
         self.modes = dict(modes) if modes else classify_modes(component)
-        self.geometry = geometry or ArrayGeometry(
-            component, platform, exec_model)
+        self.geometry = component.geometry
         self._ns = platform.ns_per_cycle
         self._init_api = platform.api_cost("dispatch") + \
             platform.api_cost("end_segment")
@@ -509,19 +508,23 @@ class BoundCalculator:
                 rem_vars.append((var, rem_w))
         entries = []
         if len(rem_vars) <= _MAX_MASK_LEVELS:
+            array = self.component.arrays()[name]
             try:
                 for choice in product((False, True), repeat=len(rem_vars)):
                     widths = dict(sizes_map)
                     for (var, rem_w), take in zip(rem_vars, choice):
                         if take:
                             widths[var] = rem_w
-                    entries.append(
-                        self.geometry.range_entry(name, sizes_map, widths))
+                    shape, nbytes = self.geometry.range_shape(
+                        name, sizes_map, widths)
+                    entries.append((transfer_time_ns(
+                        shape, array.shape, array.element_size,
+                        self.platform), nbytes))
             except LookupError:
                 entries = []
-        xfer = min((entry[1] for entry in entries), default=0.0)
+        xfer = min((entry[0] for entry in entries), default=0.0)
         cached = (xfer if math.isfinite(xfer) else 0.0,
-                  min((int(entry[2]) for entry in entries), default=0))
+                  min((int(entry[1]) for entry in entries), default=0))
         self._cheapest[memo_key] = cached
         return cached
 

@@ -45,8 +45,7 @@ class GreedyOptimizer:
             deadline=deadline)
         self.bounds = BoundCalculator(
             component, platform, exec_model, segment_cap,
-            modes=self.evaluator.planner.modes,
-            geometry=self.evaluator.geometry)
+            modes=self.evaluator.planner.modes)
         self._pruned = 0
 
     def optimize(self, cores: Optional[int] = None) -> ComponentOptResult:

@@ -340,8 +340,7 @@ class ParetoOptimizer:
             deadline=deadline)
         self.bounds = BoundCalculator(
             component, platform, exec_model, segment_cap,
-            modes=self.evaluator.planner.modes,
-            geometry=self.evaluator.geometry)
+            modes=self.evaluator.planner.modes)
 
     def optimize(self, cores: Optional[int] = None) -> ParetoComponentResult:
         cores = cores if cores is not None else self.platform.cores

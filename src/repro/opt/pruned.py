@@ -103,8 +103,7 @@ class PrunedOptimizer:
             deadline=deadline)
         self.bounds = BoundCalculator(
             component, platform, exec_model, segment_cap,
-            modes=self.evaluator.planner.modes,
-            geometry=self.evaluator.geometry)
+            modes=self.evaluator.planner.modes)
 
     def optimize(self, cores: Optional[int] = None) -> ComponentOptResult:
         cores = cores if cores is not None else self.platform.cores

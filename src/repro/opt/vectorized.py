@@ -21,11 +21,13 @@ factor): every floating-point accumulation replicates the serial
 operation order — per-array API charges in array-dict order, loads
 before unloads, the handler pass last, ``max`` then ``add`` in the
 recurrence — and IEEE-754 elementwise numpy arithmetic equals Python
-float arithmetic operation for operation.  Transfer times and execution
-estimates come out of the *same* memoized :class:`ArrayGeometry` the
-serial planner uses, so batch and serial scoring are bit-identical, not
-merely close (DESIGN.md §11 states the argument; the hypothesis parity
-tests enforce it).
+float arithmetic operation for operation.  Transfer times come out of
+the serial planner's own
+:meth:`~repro.prem.segments.SegmentPlanner.range_cost` over the
+component's shared :class:`TileGeometry`, and execution estimates
+apply the same exec model at the same widths, so batch and serial
+scoring are bit-identical, not merely close (DESIGN.md §11 states the
+argument; the hypothesis parity tests enforce it).
 
 Exactness contract: a candidate is scored by the vector engine whenever
 its padded tensor slice fits the cell budget (``cores * (segments + 2)
@@ -33,7 +35,7 @@ its padded tensor slice fits the cell budget (``cores * (segments + 2)
 overlap legality) are decided exactly by
 :meth:`SegmentPlanner.preflight` itself — the one copy of those rules,
 with the planner's own error strings; its memos live in the planner
-(array plans by tile sizes) and in :class:`ArrayGeometry` (the
+(array plans by tile sizes) and in :class:`TileGeometry` (the
 separating-dimension test).  Anything else — in practice only absurdly
 segment-heavy candidates under a tiny budget — falls back to the
 event-driven simulator.  The per-call
@@ -233,8 +235,8 @@ class BatchEvaluator:
         use, which is what makes the result bit-identical."""
         evaluator = self.evaluator
         platform = evaluator.platform
-        geometry = evaluator.geometry
-        modes = evaluator.planner.modes
+        planner = evaluator.planner
+        modes = planner.modes
         self.batches += 1
 
         sol0 = entries[0][1]
@@ -374,13 +376,14 @@ class BatchEvaluator:
             e_m = m_u[eu]
             e_n = n_pc_u[eu]
 
-            # Transfer values via the shared geometry memo: the range
-            # key only involves the array's key variables, so the
-            # submask below addresses exactly the serial cache entries.
+            # Transfer values via the planner's range_cost: the shared
+            # geometry's range key only involves the array's key
+            # variables, so the submask below addresses exactly the
+            # serial cache entries.
             # Values depend on the candidate (through its tile sizes)
             # and the remainder submask — a (candidate, submask) table
             # bridges the row-level structure and per-candidate bytes.
-            kv = set(geometry.key_vars(name))
+            kv = set(planner.geometry.key_vars(name))
             keymask = 0
             for j, level in enumerate(sol0.levels):
                 if level.var in kv:
@@ -402,9 +405,8 @@ class BatchEvaluator:
                             for j, level in enumerate(solution.levels)
                             if (sub >> j) & 1
                         }
-                        _shape, t_ns, nbytes = geometry.range_entry(
+                        hit = planner.range_cost(
                             name, solution.tile_sizes, widths)
-                        hit = (t_ns, nbytes)
                         self._range_memo[mkey] = hit
                     t_table[bi, ci], p_table[bi, ci] = hit
 
@@ -477,7 +479,7 @@ class BatchEvaluator:
             api = api + np.where(cond[:, :, :S], handler, 0.0)
 
         # Execution phases: the §4.2 model at the masked widths, scaled
-        # to ns exactly like ArrayGeometry.exec_estimate.
+        # to ns exactly like SegmentPlanner._exec_estimate.
         width_arrays = []
         for j in range(depth):
             bit = ((mask_t >> j) & 1).astype(bool)

@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..loopir.component import TilableComponent
 from ..opt.solution import Solution
-from .ranges import CanonicalRange, bounding_box, canonical_range, tile_box
+from .ranges import CanonicalRange, canonical_range, tile_box
 from .segments import RO, RW, WO, classify_modes
 from .swapgen import SwapCall, generate_swap_call
 
@@ -139,7 +139,10 @@ class TraceRow:
 
 
 class MacroBuilder:
-    """Builds swap schedules and traces for (component, solution, core)."""
+    """Builds swap schedules and traces for (component, solution, core).
+
+    Bounding shapes (the swap buffers' extents) come from the shared
+    ``component.geometry``, which the search already filled."""
 
     def __init__(self, component: TilableComponent, solution: Solution,
                  modes: Mapping[str, str] | None = None):
@@ -147,7 +150,8 @@ class MacroBuilder:
         self.solution = solution
         self.modes = dict(modes) if modes else classify_modes(component)
         self.bounding_shapes = {
-            name: bounding_box(component, name, solution.tile_sizes)
+            name: component.geometry.bounding_shape(
+                name, solution.tile_sizes)
             for name in component.arrays()
         }
 

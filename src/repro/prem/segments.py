@@ -20,8 +20,9 @@ This module is the one copy of the segment legality rules (SPM fit,
 segment cap, Section 5.3.1's write overlap): the batch evaluator
 (``repro.opt.vectorized``) calls :meth:`SegmentPlanner.preflight`
 instead of keeping its own, and the memos both paths share live here —
-array plans per tile-size vector in the planner, the
-separating-dimension test in :class:`ArrayGeometry`.
+array plans per tile-size vector in the planner, the platform-free
+hulls (separating-dimension test included) in the component's one
+:class:`TileGeometry`.
 
 Slot convention: the DMA op in slot ``s`` of core ``i`` runs between the
 executions of segments ``s-2`` and ``s-1``..``s`` — it may start once
@@ -44,6 +45,7 @@ from ..poly.constraint import EQ
 from ..poly.dependence import shared_prefix
 from ..opt.solution import Solution
 from ..timing.execmodel import ExecModel
+from ..timing.memory import transfer_time_ns
 from ..timing.platform import Platform
 from .ranges import _stmt_guards, bounding_box, canonical_range, tile_box
 
@@ -136,36 +138,27 @@ def _guards_pin_to_first(kernel, stmt) -> bool:
 # shared range geometry
 
 
-class ArrayGeometry:
-    """Memoized per-array range geometry, shared across candidate solutions.
+class TileGeometry:
+    """Memoized per-array tile geometry of one component (Section 5.3.1).
 
-    Hull construction (canonical ranges, bounding boxes, relevant-level
-    detection) depends only on the tile sizes of the band iterators that
-    appear in an array's subscripts or in the guards of its accessing
-    statements — the array's *key variables*.  Keying every memo by that
-    restricted ``(array, var -> K)`` sub-key lets candidates that differ
-    only in irrelevant dimensions share geometry: most of the
-    ``product(*candidate_lists)`` search space moves one level at a time,
-    so the same hulls are requested over and over.
-
-    One instance is shared by the :class:`SegmentPlanner` and the bound
-    calculator (``repro.opt.bounds``), so geometry computed while
-    *bounding* a candidate is reused verbatim if the candidate survives
-    to full planning — and vice versa.
+    Hulls depend only on the loop nest and on the tile sizes of the band
+    iterators in an array's subscripts or in the guards of its accessing
+    statements — the array's *key variables* — never on a platform or an
+    exec model.  So every memo is keyed by the restricted
+    ``(array, var -> K)`` sub-key, and one instance, reached as
+    ``component.geometry``, serves every planner (nominal and scenario),
+    bound calculator, macro builder and verifier pass of a compile.
+    Consumers price the shapes themselves: transfer ns on their own
+    platform (:meth:`SegmentPlanner.range_cost`), exec ns with their
+    own model.
     """
 
-    def __init__(self, component: TilableComponent, platform: Platform,
-                 exec_model: "ExecModel | None"):
-        # exec_model may be None for purely geometric consumers (the
-        # static race detector); only exec_estimate needs it.
+    def __init__(self, component: TilableComponent):
         self.component = component
-        self.platform = platform
-        self.exec_model = exec_model
         self._key_vars: Dict[str, Tuple[str, ...]] = {}
         self._relevant: Dict[Tuple, Tuple[int, ...]] = {}
         self._bounding: Dict[Tuple, Tuple[int, ...]] = {}
-        self._range: Dict[Tuple, Tuple[Tuple[int, ...], float, int]] = {}
-        self._exec: Dict[Tuple[int, ...], float] = {}
+        self._range: Dict[Tuple, Tuple[Tuple[int, ...], int]] = {}
         self._separating: Dict[Tuple[str, int, int], bool] = {}
 
     def key_vars(self, name: str) -> Tuple[str, ...]:
@@ -242,12 +235,13 @@ class ArrayGeometry:
             total *= extent
         return total
 
-    def range_entry(self, name: str, tile_sizes: Mapping[str, int],
+    def range_shape(self, name: str, tile_sizes: Mapping[str, int],
                     widths: Mapping[str, int]
-                    ) -> Tuple[Tuple[int, ...], float, int]:
-        """(shape, transfer_ns, bytes) of the canonical range of the tile
-        selected by *widths*: per level, a width equal to the tile size
-        selects the first tile, anything else the remainder tile."""
+                    ) -> Tuple[Tuple[int, ...], int]:
+        """(shape, bytes) of the canonical range of the tile selected by
+        *widths*: per level, a width equal to the tile size selects the
+        first tile, anything else the remainder tile.  A tile that does
+        not touch the array has shape ``()`` and 0 bytes."""
         key = (name, tuple(
             (v, int(tile_sizes[v]), int(widths.get(v, tile_sizes[v])))
             for v in self.key_vars(name)))
@@ -261,11 +255,8 @@ class ArrayGeometry:
                 tile_indices[node.var] = 0 if width == k else m - 1
             box = tile_box(self.component, tile_indices, tile_sizes)
             crange = canonical_range(self.component, name, box)
-            if crange is None:
-                cached = ((), 0.0, 0)
-            else:
-                cached = (crange.shape, crange.transfer_ns(self.platform),
-                          crange.bytes)
+            cached = ((), 0) if crange is None else \
+                (crange.shape, crange.bytes)
             self._range[key] = cached
         return cached
 
@@ -336,18 +327,6 @@ class ArrayGeometry:
             if shift >= extent:
                 return True
         return False
-
-    def exec_estimate(self, widths: Tuple[int, ...]) -> float:
-        """Execution-phase estimate for one tile of the given widths, ns."""
-        cached = self._exec.get(widths)
-        if cached is None:
-            if self.exec_model is None:
-                raise ValueError(
-                    "ArrayGeometry was built without an execution model")
-            cycles = self.exec_model.estimate(widths)
-            cached = cycles * self.platform.ns_per_cycle
-            self._exec[widths] = cached
-        return cached
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +416,18 @@ class SegmentPlanner:
 
     def __init__(self, component: TilableComponent, platform: Platform,
                  exec_model: ExecModel,
-                 modes: Mapping[str, str] | None = None,
-                 geometry: ArrayGeometry | None = None):
+                 modes: Mapping[str, str] | None = None):
         self.component = component
         self.platform = platform
         self.exec_model = exec_model
         self.modes = dict(modes) if modes else classify_modes(component)
-        self.geometry = geometry or ArrayGeometry(
-            component, platform, exec_model)
+        self.geometry = component.geometry
         #: Tile-size vector -> :meth:`_array_plans`' (plans, SPM bytes).
         self._by_sizes: Dict[Tuple[int, ...],
                              Tuple[Dict[str, ArrayPlan], int]] = {}
+        #: Platform- and model-priced memos over the shared geometry.
+        self._transfer: Dict[Tuple[str, Tuple[int, ...]], float] = {}
+        self._exec: Dict[Tuple[int, ...], float] = {}
 
     # -- public -----------------------------------------------------------
 
@@ -571,6 +551,7 @@ class SegmentPlanner:
             return CoreSchedule(core, 0, 0.0, [], [0.0, 0.0], [], 0, 0)
 
         depth = len(solution.levels)
+        band = [level.var for level in solution.levels]
         names = list(plans)
         # Per level, whether a given block position is the remainder tile.
         # A tile's width vector is fully determined by the bitmask of
@@ -628,11 +609,12 @@ class SegmentPlanner:
                 key = (name, mask)
                 entry = shape_mask_cache.get(key)
                 if entry is None:
-                    entry = self._range_shape(
-                        name, solution, self._mask_widths(mask, solution))
+                    entry = self.range_cost(
+                        name, solution.tile_sizes, dict(zip(
+                            band, self._mask_widths(mask, solution))))
                     shape_mask_cache[key] = entry
                 events[name].append(
-                    ChangeEvent(segment, entry[1], entry[2]))
+                    ChangeEvent(segment, entry[0], entry[1]))
 
         return self._assign_slots(core, n, exec_base, events, plans)
 
@@ -642,16 +624,24 @@ class SegmentPlanner:
             for j, level in enumerate(solution.levels))
 
     def _exec_estimate(self, widths: Tuple[int, ...]) -> float:
-        return self.geometry.exec_estimate(widths)
+        """Execution-phase estimate for one tile of the given widths, ns."""
+        cached = self._exec.get(widths)
+        if cached is None:
+            cached = self._exec[widths] = \
+                self.exec_model.estimate(widths) * self.platform.ns_per_cycle
+        return cached
 
-    def _range_shape(self, name: str, solution: Solution,
-                     widths: Tuple[int, ...]):
-        width_map = {
-            level.var: width
-            for level, width in zip(solution.levels, widths)
-        }
-        return self.geometry.range_entry(
-            name, solution.tile_sizes, width_map)
+    def range_cost(self, name: str, tile_sizes: Mapping[str, int],
+                   widths: Mapping[str, int]) -> Tuple[float, int]:
+        """(transfer_ns, bytes) of :meth:`TileGeometry.range_shape`'s
+        range, priced on this planner's platform."""
+        shape, nbytes = self.geometry.range_shape(name, tile_sizes, widths)
+        cached = self._transfer.get((name, shape))
+        if cached is None:
+            array = self.component.arrays()[name]
+            cached = self._transfer[name, shape] = transfer_time_ns(
+                shape, array.shape, array.element_size, self.platform)
+        return cached, nbytes
 
     # -- slot assignment (Section 3.5 rules) -----------------------------------
 

@@ -19,8 +19,7 @@ from ..errors import OptimizerTimeout
 from ..loopir.component import TilableComponent
 from ..opt.cache import PersistentCache, context_fingerprint, solution_digest
 from ..opt.solution import Solution
-from ..prem.segments import (ArrayGeometry, ComponentPlan, PlanError,
-                             SegmentPlanner)
+from ..prem.segments import ComponentPlan, PlanError, SegmentPlanner
 from ..timing.execmodel import ExecModel
 from ..timing.platform import Platform
 from .pipeline import PipelineResult, evaluate_pipeline
@@ -105,9 +104,7 @@ class MakespanEvaluator:
         #: Timing-scenario digest when platform/model carry Monte-Carlo
         #: perturbations; folded into persistent-cache fingerprints.
         self.scenario = scenario
-        self.geometry = ArrayGeometry(component, platform, exec_model)
-        self.planner = SegmentPlanner(
-            component, platform, exec_model, modes, geometry=self.geometry)
+        self.planner = SegmentPlanner(component, platform, exec_model, modes)
         self._cache: Dict[tuple, MakespanResult] = {}
         self.evaluations = 0
         self.memo_hits = 0

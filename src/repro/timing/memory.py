@@ -66,8 +66,10 @@ def burst_transfers(range_shape: Sequence[int], array_shape: Sequence[int],
 
 def transfer_time_ns(range_shape: Sequence[int], array_shape: Sequence[int],
                      element_size: int, platform: Platform) -> float:
-    """``T_DMA + T_BUS`` for one canonical range, in nanoseconds."""
-    if any(extent <= 0 for extent in range_shape):
+    """``T_DMA + T_BUS`` for one canonical range, in nanoseconds.
+
+    The empty shape ``()`` stands for no range and transfers nothing."""
+    if not range_shape or any(extent <= 0 for extent in range_shape):
         return 0.0
     lines = data_line_num(range_shape, array_shape)
     bursts = burst_transfers(

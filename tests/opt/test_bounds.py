@@ -45,8 +45,7 @@ def _walk(comp, model, platform, cores=8):
     """Yield (solution-or-None, sizes, assignment, quick, refined, truth)."""
     evaluator = MakespanEvaluator(comp, platform, model)
     bounds = BoundCalculator(
-        comp, platform, model, geometry=evaluator.geometry,
-        modes=evaluator.planner.modes)
+        comp, platform, model, modes=evaluator.planner.modes)
     for assignment in generate_nondominated_thread_groups(cores, comp):
         groups, lists = assignment_candidates(comp, assignment)
         for sizes in product(*lists):

@@ -66,6 +66,8 @@ class TestBurstsAndTime:
     def test_empty_range_is_free(self):
         assert transfer_time_ns((0, 5), (3, 5), 4, Platform()) == 0.0
         assert transfer_bytes((0, 5), 4) == 0
+        # The shape TileGeometry reports for a tile without a range.
+        assert transfer_time_ns((), (3, 5), 4, Platform()) == 0.0
 
     def test_transfer_bytes(self):
         assert transfer_bytes((4, 2, 5), 8) == 320

@@ -238,8 +238,7 @@ def test_bounds_admissible_at_any_positive_scale(rnn_small, scales):
     exec_model = scenario.apply_exec_model(model)
     evaluator = MakespanEvaluator(comp, platform, exec_model)
     bounds = BoundCalculator(
-        comp, platform, exec_model, geometry=evaluator.geometry,
-        modes=evaluator.planner.modes)
+        comp, platform, exec_model, modes=evaluator.planner.modes)
     vars_ = [n.var for n in comp.nodes]
     checked = 0
     for assignment in generate_nondominated_thread_groups(8, comp):
@@ -272,8 +271,7 @@ def test_envelope_bound_lower_bounds_every_scenario(rnn_small):
         envelope.apply_exec_model(model))
     env_bounds = BoundCalculator(
         comp, envelope.apply_platform(Platform()),
-        envelope.apply_exec_model(model),
-        geometry=env_eval.geometry, modes=env_eval.planner.modes)
+        envelope.apply_exec_model(model), modes=env_eval.planner.modes)
     evaluators = [
         MakespanEvaluator(comp, s.apply_platform(Platform()),
                           s.apply_exec_model(model))
