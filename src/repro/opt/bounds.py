@@ -42,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..loopir.component import TilableComponent
-from ..prem.ranges import _stmt_guards, partial_bounds
+from ..prem.ranges import _stmt_guards
 from ..prem.segments import RO, RW, WO, classify_modes
 from ..schedule.makespan import DEFAULT_SEGMENT_CAP
 from ..timing.execmodel import ExecModel
@@ -115,7 +115,6 @@ class BoundCalculator:
         self._level_opts: Dict[Tuple[int, int, int],
                                List[Tuple[Tuple[int, int], int]]] = {}
         self._spm_terms = self._build_spm_terms()
-        self._extent_memo: Dict[Tuple, int] = {}
         #: (array, key-variable sizes) -> _cheapest_event's pair.
         self._cheapest: Dict[Tuple, Tuple[float, int]] = {}
         #: Per-array direction count: ops the DMA carries per swap event.
@@ -217,14 +216,14 @@ class BoundCalculator:
 
         # SPM floor: per-dimension extent lookup tables over each
         # dimension's support subgrid (scalar extents stay memoized in
-        # _extent_memo), broadcast and multiplied in integer arithmetic
+        # the shared geometry), broadcast and multiplied in integer arithmetic
         # exactly like _spm_floor.
         if self._spm_terms:
             var_axis = {node.var: j for j, node in enumerate(self._nodes)}
             floor = np.zeros(shape, dtype=np.int64)
             for name, element_size, dims in self._spm_terms:
                 nbytes = np.asarray(element_size, dtype=np.int64)
-                for dim, support, exprs, full_extent in dims:
+                for dim, support in dims:
                     axes = [var_axis[v] for v in support]
                     sub_shape = tuple(shape[a] for a in axes)
                     lut = np.empty(sub_shape, dtype=np.int64)
@@ -232,9 +231,8 @@ class BoundCalculator:
                         sizes_by_var = {
                             v: int(candidate_lists[a][i])
                             for v, a, i in zip(support, axes, idx)}
-                        lut[idx] = self._dim_extent(
-                            name, dim, support, exprs, full_extent,
-                            sizes_by_var)
+                        lut[idx] = self.geometry.first_tile_extent(
+                            name, dim, sizes_by_var)
                     if axes != sorted(axes):
                         perm = sorted(range(len(axes)),
                                       key=lambda i: axes[i])
@@ -405,31 +403,24 @@ class BoundCalculator:
     # -- SPM floor (tier 1) ------------------------------------------------
 
     def _build_spm_terms(self):
-        """Per-dimension extent descriptors for guard-free arrays.
+        """Per-dimension support descriptors for guard-free arrays.
 
         For an array none of whose accessing statements carry guards,
-        the hull of the all-first tile is a pure interval-arithmetic
-        fold of the subscripts over the tile box — position-independent,
-        and by hull monotonicity a lower bound on the planner's
-        bounding-box shape.  Guarded arrays are skipped (contributing
+        the extent of each dimension of the all-first tile's hull
+        (:meth:`TileGeometry.first_tile_extent`) depends only on the
+        tile sizes of that dimension's supporting band iterators, and by
+        hull monotonicity it is a lower bound on the planner's
+        bounding-box extent.  Guarded arrays are skipped (contributing
         zero keeps the floor admissible)."""
-        band = list(self.component.band_vars)
-        inner = self.component.full_inner_box()
         terms = []
         for name, array in self.component.arrays().items():
             pairs = self.component.accesses(name)
             if not pairs or any(
                     _stmt_guards(self.component, stmt) for stmt, _ in pairs):
                 continue
-            dims = []
-            for dim in range(array.ndim):
-                exprs = [access.indices[dim] for _, access in pairs]
-                support = tuple(
-                    v for v in band
-                    if any(expr.coeff(v) for expr in exprs))
-                dims.append((dim, support, exprs, array.shape[dim]))
-            terms.append((name, array.element_size, dims))
-        self._inner_box = dict(inner)
+            support = self.geometry.program(name).support
+            terms.append((name, array.element_size,
+                          list(enumerate(support))))
         return terms
 
     def _spm_floor(self, sizes: Sequence[int]) -> int:
@@ -443,45 +434,11 @@ class BoundCalculator:
         total = 0
         for name, element_size, dims in self._spm_terms:
             nbytes = element_size
-            for dim, support, exprs, full_extent in dims:
-                nbytes *= self._dim_extent(
-                    name, dim, support, exprs, full_extent, sizes_by_var)
+            for dim, _ in dims:
+                nbytes *= self.geometry.first_tile_extent(
+                    name, dim, sizes_by_var)
             total += nbytes
         return total
-
-    def _dim_extent(self, name: str, dim: int, support: Tuple[str, ...],
-                    exprs, full_extent: int,
-                    sizes_by_var: Mapping[str, int]) -> int:
-        key = (name, dim, tuple(sizes_by_var[v] for v in support))
-        extent = self._extent_memo.get(key)
-        if extent is None:
-            box = dict(self._inner_box)
-            for var in support:
-                node = self._node_by_var[var]
-                width = min(sizes_by_var[var], node.N)
-                box[var] = (node.begin,
-                            node.begin + (width - 1) * node.S)
-            lo = hi = None
-            widened = False
-            for expr in exprs:
-                expr_lo, expr_hi = partial_bounds(expr, box)
-                if lo is None:
-                    lo, hi = expr_lo, expr_hi
-                    continue
-                if not (lo.same_coeffs(expr_lo)
-                        and hi.same_coeffs(expr_hi)):
-                    widened = True    # canonical_range widens to the array
-                    break
-                if expr_lo.constant < lo.constant:
-                    lo = expr_lo
-                if expr_hi.constant > hi.constant:
-                    hi = expr_hi
-            if widened or not lo.same_coeffs(hi):
-                extent = full_extent
-            else:
-                extent = int(hi.constant - lo.constant) + 1
-            self._extent_memo[key] = extent
-        return extent
 
     # -- DMA path (tier 2) -------------------------------------------------
 
@@ -508,7 +465,7 @@ class BoundCalculator:
                 rem_vars.append((var, rem_w))
         entries = []
         if len(rem_vars) <= _MAX_MASK_LEVELS:
-            array = self.component.arrays()[name]
+            array = self.geometry.program(name).array
             try:
                 for choice in product((False, True), repeat=len(rem_vars)):
                     widths = dict(sizes_map)

@@ -4,7 +4,6 @@ from .codegen import CodeGenerator
 from .macros import ArraySwapSchedule, MacroBuilder, SwapEvent, render_trace
 from .ranges import (
     CanonicalRange,
-    bounding_box,
     canonical_range,
     partial_bounds,
     ranges_overlap,
@@ -34,8 +33,8 @@ from .swapgen import SwapCall, generate_swap_call, validate_swap_call
 __all__ = [
     "CodeGenerator",
     "ArraySwapSchedule", "MacroBuilder", "SwapEvent", "render_trace",
-    "CanonicalRange", "bounding_box", "canonical_range", "partial_bounds",
-    "ranges_overlap", "tile_box",
+    "CanonicalRange", "canonical_range", "partial_bounds", "ranges_overlap",
+    "tile_box",
     "PremRuntime", "SequentialInterpreter", "SpmBufferView", "init_arrays",
     "run_kernel_prem",
     "RO", "RW", "WO", "ArrayPlan", "ComponentPlan", "CoreSchedule",

@@ -12,14 +12,27 @@ symbolic: a range's per-dimension bounds are affine expressions over the
 outer iterators, while its *shape* (max - min + 1) is always an integer —
 which is why memory-phase lengths and bounding boxes are independent of
 the outer iteration, exactly as the paper's timing model assumes.
+
+A hull's shape depends on neither the outer iteration nor the platform,
+only on the tile's box, and searches ask for it under thousands of tile
+sizes.  So each array's accesses are compiled once per component into a
+:class:`RangeProgram` of integer rows: per access and dimension a
+constant pair (inner loops already folded in), ``(band level, coeff)``
+rows and the outer-iterator *signature*; per access its single-iterator
+guards as integer intervals.  A hull is then integer min/max over the
+accesses' ``(lo, hi)`` pairs, with one widening rule: two accesses whose
+signatures differ in a dimension make that dimension the full array
+extent (signature empty), and later accesses fold into the widened
+bounds as into any other.  :func:`access_range` and
+:func:`canonical_range` turn a hull back into symbolic bounds for the
+consumers that need them (swap calls, the static verifier).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..loopir.component import TilableComponent
 from ..poly.access import Access, Array
@@ -115,6 +128,18 @@ class CanonicalRange:
         return f"R({self.array.name}{dims})"
 
 
+def tile_interval(node, index: int, size: int) -> Tuple[int, int]:
+    """Iterator bounds of tile *index* of one band level under tile size
+    *size*; the last tile is clipped to the level's extent."""
+    first = index * size
+    last = min((index + 1) * size, node.N) - 1
+    if first > last:
+        raise ValueError(
+            f"tile {index} of {node.var} is empty "
+            f"(N={node.N}, K={size})")
+    return node.begin + first * node.S, node.begin + last * node.S
+
+
 def tile_box(component: TilableComponent,
              tile_indices: Mapping[str, int],
              tile_sizes: Mapping[str, int]) -> Dict[str, Tuple[int, int]]:
@@ -122,16 +147,8 @@ def tile_box(component: TilableComponent,
     iteration range, inner (folded) loops at full extent."""
     box = dict(component.full_inner_box())
     for node in component.nodes:
-        size = tile_sizes[node.var]
-        index = tile_indices[node.var]
-        first = index * size
-        last = min((index + 1) * size, node.N) - 1
-        if first > last:
-            raise ValueError(
-                f"tile {index} of {node.var} is empty "
-                f"(N={node.N}, K={size})")
-        box[node.var] = (node.begin + first * node.S,
-                         node.begin + last * node.S)
+        box[node.var] = tile_interval(
+            node, tile_indices[node.var], tile_sizes[node.var])
     return box
 
 
@@ -153,41 +170,183 @@ def _stmt_guards(component: TilableComponent, stmt) -> list:
     return guards
 
 
-def _narrow_with_guards(guards, box: Mapping[str, Tuple[int, int]]
-                        ) -> Optional[Dict[str, Tuple[int, int]]]:
-    """Intersect a tile box with single-iterator guards.
+#: The signature of a bound with no outer-iterator terms.
+_CONSTANT = ()
 
-    Returns None when a guard excludes the statement from the tile
-    entirely.  Multi-iterator guards and guards over iterators outside the
-    box (outer loops) are ignored — the hull stays conservative, never too
-    small.
+#: One compiled access: ``(is_read, is_write, clamps, dims)``.
+_Access = Tuple[bool, bool, Tuple[Tuple[int, int, int], ...],
+                Tuple[Tuple[Tuple, int, int, Tuple[Tuple[int, int], ...]],
+                      ...]]
+
+#: Per array dimension ``(signature, lo, hi)``: the hull's bounds are
+#: ``sum(coeff * var for var, coeff in signature) + lo`` and ``... + hi``.
+Hull = Tuple[Tuple[Tuple, int, int], ...]
+
+
+class RangeProgram:
+    """The accesses of one array in one component, compiled to integers.
+
+    Built once per component and array (:meth:`TileGeometry.program`),
+    then evaluated for any tile box of the component's band levels,
+    given as one ``(lo, hi)`` pair per band level.  Per access:
+
+    - ``clamps``: its single-iterator guards over band iterators,
+      reduced to one ``(band index, lo, hi)`` interval per iterator;
+    - ``dims``: per array dimension a signature — the outer-iterator
+      terms as a sorted ``(var, coeff)`` tuple — the ``lo``/``hi``
+      constants with the inner (folded) loops' full ranges, narrowed by
+      their guards, already folded in, and ``(band index, coeff)`` rows.
+
+    An access whose guards exclude it from every tile (an equality with
+    no integer solution, an empty inner range) is dropped at compile
+    time.  Guards over several iterators or over outer iterators are
+    ignored, so the hull stays conservative, never too small.
     """
-    narrowed = dict(box)
+
+    def __init__(self, component: TilableComponent, array_name: str):
+        pairs = component.accesses(array_name)
+        self.array: Optional[Array] = pairs[0][1].array if pairs else None
+        band = component.band_vars
+        index = {var: i for i, var in enumerate(band)}
+        inner = component.full_inner_box()
+        self.accesses: List[_Access] = []
+        for stmt, access in pairs:
+            compiled = _compile_access(
+                access, _stmt_guards(component, stmt), index, inner)
+            if compiled is not None:
+                self.accesses.append(
+                    (access.is_read, access.is_write) + compiled)
+        #: Per dimension, the band iterators its rows read, in band order.
+        self.support: List[Tuple[str, ...]] = []
+        for dim in range(self.array.ndim if self.array is not None else 0):
+            used = {i for *_, dims in self.accesses for i, _ in dims[dim][3]}
+            self.support.append(
+                tuple(var for i, var in enumerate(band) if i in used))
+
+    def hull(self, box: Sequence[Tuple[int, int]], reads: bool = True,
+             writes: bool = True) -> Optional[Hull]:
+        """Hull of the selected accesses over the band *box*; None when
+        no selected access is active in it.
+
+        Per dimension, accesses with equal signatures fold to integer
+        min/max of their bounds; a signature mismatch widens the
+        dimension to the full array extent, with the constant signature,
+        and later accesses fold into that."""
+        out: Optional[List[Tuple[Tuple, int, int]]] = None
+        for is_read, is_write, clamps, dims in self.accesses:
+            if not ((reads and is_read) or (writes and is_write)):
+                continue
+            narrowed = _narrow(box, clamps) if clamps else box
+            if narrowed is None:
+                continue
+            bounds = []
+            for sig, lo, hi, rows in dims:
+                for i, coeff in rows:
+                    first, last = narrowed[i]
+                    if coeff >= 0:
+                        lo += coeff * first
+                        hi += coeff * last
+                    else:
+                        lo += coeff * last
+                        hi += coeff * first
+                bounds.append((sig, lo, hi))
+            if out is None:
+                out = bounds
+                continue
+            for dim, (sig, lo, hi) in enumerate(bounds):
+                cur_sig, cur_lo, cur_hi = out[dim]
+                if cur_sig == sig:
+                    out[dim] = (sig, min(cur_lo, lo), max(cur_hi, hi))
+                else:
+                    out[dim] = (_CONSTANT, 0, self.array.shape[dim] - 1)
+        return None if out is None else tuple(out)
+
+    def canonical(self, hull: Hull) -> CanonicalRange:
+        """The symbolic :class:`CanonicalRange` of a :meth:`hull`."""
+        return CanonicalRange(
+            self.array,
+            tuple(AffineExpr(dict(sig), lo) for sig, lo, _ in hull),
+            tuple(AffineExpr(dict(sig), hi) for sig, _, hi in hull))
+
+
+def hull_shape(hull: Hull) -> Tuple[int, ...]:
+    """Per-dimension extent of a :meth:`RangeProgram.hull`."""
+    return tuple(hi - lo + 1 for _, lo, hi in hull)
+
+
+def _compile_access(access: Access, guards, index: Mapping[str, int],
+                    inner: Mapping[str, Tuple[int, int]]):
+    """``(clamps, dims)`` of one access (see :class:`RangeProgram`), or
+    None when its guards exclude it from every tile."""
+    limits: Dict[str, Tuple[float, float]] = {}
     for guard in guards:
-        variables = sorted(guard.variables())
-        if len(variables) != 1 or variables[0] not in narrowed:
+        variables = guard.variables()
+        if len(variables) != 1:
             continue
-        var = variables[0]
+        (var,) = variables
+        if var not in index and var not in inner:
+            continue
         coeff = guard.expr.coeff(var)
         const = guard.expr.constant
-        lo, hi = narrowed[var]
+        lo, hi = limits.get(var, (-math.inf, math.inf))
         if guard.kind == EQ:
             if const % coeff != 0:
                 return None
             value = -const // coeff
-            if value < lo or value > hi:
-                return None
-            narrowed[var] = (value, value)
+            lo, hi = max(lo, value), min(hi, value)
         elif coeff > 0:
-            lo = max(lo, math.ceil(Fraction(-const, coeff)))
-            if lo > hi:
-                return None
-            narrowed[var] = (lo, hi)
+            lo = max(lo, -(const // coeff))        # ceil(-const / coeff)
         else:
-            hi = min(hi, math.floor(Fraction(-const, coeff)))
-            if lo > hi:
-                return None
-            narrowed[var] = (lo, hi)
+            hi = min(hi, -const // coeff)          # floor(-const / coeff)
+        limits[var] = (lo, hi)
+
+    inner_box = dict(inner)
+    clamps = []
+    for var, (lo, hi) in limits.items():
+        if var in index:
+            clamps.append((index[var], lo, hi))
+            continue
+        first, last = inner_box[var]
+        first, last = max(first, lo), min(last, hi)
+        if first > last:
+            return None
+        inner_box[var] = (first, last)
+
+    dims = []
+    for expr in access.indices:
+        lo = hi = expr.constant
+        rows = []
+        sig = []
+        for var, coeff in expr.terms():
+            if var in index:
+                rows.append((index[var], coeff))
+            elif var in inner_box:
+                first, last = inner_box[var]
+                if coeff >= 0:
+                    lo += coeff * first
+                    hi += coeff * last
+                else:
+                    lo += coeff * last
+                    hi += coeff * first
+            else:
+                sig.append((var, coeff))
+        dims.append((tuple(sig), lo, hi, tuple(rows)))
+    return tuple(clamps), tuple(dims)
+
+
+def _narrow(box: Sequence[Tuple[int, int]], clamps
+            ) -> Optional[List[Tuple[int, int]]]:
+    """*box* intersected with an access's guard clamps; None if empty."""
+    narrowed = list(box)
+    for i, lo_limit, hi_limit in clamps:
+        lo, hi = narrowed[i]
+        if lo_limit > lo:
+            lo = lo_limit
+        if hi_limit < hi:
+            hi = hi_limit
+        if lo > hi:
+            return None
+        narrowed[i] = (lo, hi)
     return narrowed
 
 
@@ -212,48 +371,15 @@ def access_range(component: TilableComponent, array_name: str,
 
     The generalisation of :func:`canonical_range` the race detector
     needs: restricting to ``reads`` or ``writes`` yields the tile's read
-    or write footprint instead of the combined streaming hull.  Same
-    conservatism rules: symbolic over outer iterators, widened to the
-    full extent on coefficient mismatch, None when no selected access is
-    active in the tile.
+    or write footprint instead of the combined streaming hull.  *box*
+    is a :func:`tile_box`: only its band levels are read, inner loops
+    always span their full range.  Evaluated by the component's
+    :class:`RangeProgram` for *array_name*.
     """
-    pairs = component.accesses(array_name)
-    if not pairs:
-        return None
-    array = pairs[0][1].array
-
-    lo: List[Optional[AffineExpr]] = [None] * array.ndim
-    hi: List[Optional[AffineExpr]] = [None] * array.ndim
-    active = False
-    for stmt, access in pairs:
-        if not ((reads and access.is_read) or (writes and access.is_write)):
-            continue
-        narrowed = _narrow_with_guards(_stmt_guards(component, stmt), box)
-        if narrowed is None:
-            continue
-        active = True
-        for dim, expr in enumerate(access.indices):
-            dim_lo, dim_hi = partial_bounds(expr, narrowed)
-            lo[dim] = _symbolic_min(lo[dim], dim_lo, array, dim, True)
-            hi[dim] = _symbolic_min(hi[dim], dim_hi, array, dim, False)
-    if not active:
-        return None
-    return CanonicalRange(array, tuple(lo), tuple(hi))
-
-
-def _symbolic_min(current: Optional[AffineExpr], candidate: AffineExpr,
-                  array: Array, dim: int, take_min: bool) -> AffineExpr:
-    """min/max of affine bounds; widens to the array extent on coefficient
-    mismatch (conservative hull)."""
-    if current is None:
-        return candidate
-    if current.same_coeffs(candidate):
-        if take_min:
-            keep = current.constant <= candidate.constant
-        else:
-            keep = current.constant >= candidate.constant
-        return current if keep else candidate
-    return AffineExpr.const(0 if take_min else array.shape[dim] - 1)
+    program = component.geometry.program(array_name)
+    hull = program.hull(
+        [box[var] for var in component.band_vars], reads, writes)
+    return None if hull is None else program.canonical(hull)
 
 
 def ranges_overlap(a: CanonicalRange, b: CanonicalRange) -> bool:
@@ -269,51 +395,3 @@ def ranges_overlap(a: CanonicalRange, b: CanonicalRange) -> bool:
         if b_hi.same_coeffs(a_lo) and b_hi.constant < a_lo.constant:
             return False
     return True
-
-
-def bounding_box(component: TilableComponent, array_name: str,
-                 tile_sizes: Mapping[str, int]) -> Tuple[int, ...]:
-    """``BoundingBox(a)`` — per-dimension max shape over all tiles.
-
-    Hulls are monotone in the tile box, so the full (non-remainder) tile
-    dominates every boundary tile; sampling first/last tiles per level
-    covers guard-activated statements as well.
-    """
-    samples = _sample_tiles(component, tile_sizes)
-    best: Optional[List[int]] = None
-    for indices in samples:
-        box = tile_box(component, indices, tile_sizes)
-        crange = canonical_range(component, array_name, box)
-        if crange is None:
-            continue
-        shape = crange.shape
-        if best is None:
-            best = list(shape)
-        else:
-            best = [max(b, s) for b, s in zip(best, shape)]
-    if best is None:
-        raise LookupError(
-            f"array {array_name} is never accessed in component "
-            f"{component.label()}")
-    return tuple(best)
-
-
-def _sample_tiles(component: TilableComponent,
-                  tile_sizes: Mapping[str, int]) -> Iterable[Dict[str, int]]:
-    """First and last tile index per level, crossed over levels."""
-    per_level: List[List[int]] = []
-    for node in component.nodes:
-        size = tile_sizes[node.var]
-        count = -(-node.N // size)
-        per_level.append(sorted({0, count - 1}))
-
-    def recurse(level: int, chosen: Dict[str, int]):
-        if level == len(component.nodes):
-            yield dict(chosen)
-            return
-        var = component.nodes[level].var
-        for index in per_level[level]:
-            chosen[var] = index
-            yield from recurse(level + 1, chosen)
-
-    yield from recurse(0, {})

@@ -33,8 +33,8 @@ Slots ``1..n`` precede their same-numbered segment; slots ``n+1`` and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import InfeasibleScheduleError
@@ -45,9 +45,10 @@ from ..poly.constraint import EQ
 from ..poly.dependence import shared_prefix
 from ..opt.solution import Solution
 from ..timing.execmodel import ExecModel
-from ..timing.memory import transfer_time_ns
+from ..timing.memory import transfer_bytes, transfer_time_ns
 from ..timing.platform import Platform
-from .ranges import _stmt_guards, bounding_box, canonical_range, tile_box
+from .ranges import (
+    RangeProgram, _stmt_guards, hull_shape, tile_interval)
 
 RO = "RO"
 WO = "WO"
@@ -148,18 +149,31 @@ class TileGeometry:
     ``(array, var -> K)`` sub-key, and one instance, reached as
     ``component.geometry``, serves every planner (nominal and scenario),
     bound calculator, macro builder and verifier pass of a compile.
-    Consumers price the shapes themselves: transfer ns on their own
-    platform (:meth:`SegmentPlanner.range_cost`), exec ns with their
-    own model.
+    Every hull is evaluated by the array's
+    :class:`~repro.prem.ranges.RangeProgram`, compiled once per
+    component.  Consumers price the shapes themselves: transfer ns on
+    their own platform (:meth:`SegmentPlanner.range_cost`), exec ns
+    with their own model.
     """
 
     def __init__(self, component: TilableComponent):
         self.component = component
+        self._programs: Dict[str, RangeProgram] = {}
         self._key_vars: Dict[str, Tuple[str, ...]] = {}
         self._relevant: Dict[Tuple, Tuple[int, ...]] = {}
         self._bounding: Dict[Tuple, Tuple[int, ...]] = {}
         self._range: Dict[Tuple, Tuple[Tuple[int, ...], int]] = {}
+        self._extent: Dict[Tuple, int] = {}
         self._separating: Dict[Tuple[str, int, int], bool] = {}
+
+    def program(self, name: str) -> RangeProgram:
+        """The compiled :class:`~repro.prem.ranges.RangeProgram` of
+        *name*'s accesses, built on first use."""
+        program = self._programs.get(name)
+        if program is None:
+            program = self._programs[name] = RangeProgram(
+                self.component, name)
+        return program
 
     def key_vars(self, name: str) -> Tuple[str, ...]:
         """Band iterators that can move *name*'s hull: those appearing in
@@ -188,50 +202,73 @@ class TileGeometry:
         whole array (e.g. the RNN in-place state update reading ``h[s3]``
         over the full state range) pins the hull regardless of the
         write's tile, so the range never changes and the buffer is never
-        swapped.  The test compares the symbolic hulls of adjacent tiles
-        per level.
+        swapped.  The test compares the hull of the all-first tile with
+        that of its neighbour along each key level that has one.
         """
         key = (name, self._subkey(name, tile_sizes))
         cached = self._relevant.get(key)
         if cached is None:
+            program = self.program(name)
+            key_vars = self.key_vars(name)
+            box = [tile_interval(node, 0, tile_sizes[node.var])
+                   for node in self.component.nodes]
+            base = program.hull(box)
             relevant = []
-            for level_idx, node in enumerate(self.component.nodes):
-                m = math.ceil(node.N / tile_sizes[node.var])
-                if m <= 1:
+            for level, node in enumerate(self.component.nodes):
+                size = tile_sizes[node.var]
+                if node.var not in key_vars or node.N <= size:
                     continue
-                base = {n.var: 0 for n in self.component.nodes}
-                shifted = dict(base)
-                shifted[node.var] = 1
-                range_a = canonical_range(
-                    self.component, name,
-                    tile_box(self.component, base, tile_sizes))
-                range_b = canonical_range(
-                    self.component, name,
-                    tile_box(self.component, shifted, tile_sizes))
-                if range_a is None or range_b is None:
-                    if (range_a is None) != (range_b is None):
-                        relevant.append(level_idx)
-                    continue
-                if not range_a.same_as(range_b):
-                    relevant.append(level_idx)
+                shifted = list(box)
+                shifted[level] = tile_interval(node, 1, size)
+                if program.hull(shifted) != base:
+                    relevant.append(level)
             cached = tuple(relevant)
             self._relevant[key] = cached
         return cached
 
     def bounding_shape(self, name: str,
                        tile_sizes: Mapping[str, int]) -> Tuple[int, ...]:
-        """Componentwise-max canonical range over sampled tiles."""
+        """Componentwise-max canonical range over sampled tiles.
+
+        Hulls are monotone in the tile box, so the full (non-remainder)
+        tile dominates every boundary tile; sampling the first and last
+        tile of every key level, crossed over levels, covers
+        guard-activated statements as well.  Other levels cannot move
+        the hull and stay on their first tile."""
         key = (name, self._subkey(name, tile_sizes))
         cached = self._bounding.get(key)
         if cached is None:
-            cached = bounding_box(self.component, name, tile_sizes)
-            self._bounding[key] = cached
+            program = self.program(name)
+            key_vars = self.key_vars(name)
+            choices = []
+            for node in self.component.nodes:
+                size = tile_sizes[node.var]
+                first = tile_interval(node, 0, size)
+                if node.var in key_vars and node.N > size:
+                    choices.append((first, tile_interval(
+                        node, -(-node.N // size) - 1, size)))
+                else:
+                    choices.append((first,))
+            best: Optional[List[int]] = None
+            for box in product(*choices):
+                hull = program.hull(box)
+                if hull is None:
+                    continue
+                shape = hull_shape(hull)
+                best = list(shape) if best is None else \
+                    [max(b, s) for b, s in zip(best, shape)]
+            if best is None:
+                raise LookupError(
+                    f"array {name} is never accessed in component "
+                    f"{self.component.label()}")
+            cached = self._bounding[key] = tuple(best)
         return cached
 
     def bounding_bytes(self, name: str,
                        tile_sizes: Mapping[str, int]) -> int:
-        total = self.component.arrays()[name].element_size
-        for extent in self.bounding_shape(name, tile_sizes):
+        shape = self.bounding_shape(name, tile_sizes)
+        total = self.program(name).array.element_size
+        for extent in shape:
             total *= extent
         return total
 
@@ -247,17 +284,40 @@ class TileGeometry:
             for v in self.key_vars(name)))
         cached = self._range.get(key)
         if cached is None:
-            tile_indices = {}
+            box = []
             for node in self.component.nodes:
-                k = int(tile_sizes[node.var])
-                width = int(widths.get(node.var, k))
-                m = math.ceil(node.N / k)
-                tile_indices[node.var] = 0 if width == k else m - 1
-            box = tile_box(self.component, tile_indices, tile_sizes)
-            crange = canonical_range(self.component, name, box)
-            cached = ((), 0) if crange is None else \
-                (crange.shape, crange.bytes)
+                size = int(tile_sizes[node.var])
+                index = 0 if int(widths.get(node.var, size)) == size \
+                    else -(-node.N // size) - 1
+                box.append(tile_interval(node, index, size))
+            program = self.program(name)
+            hull = program.hull(box)
+            if hull is None:
+                cached = ((), 0)
+            else:
+                shape = hull_shape(hull)
+                cached = (shape, transfer_bytes(
+                    shape, program.array.element_size))
             self._range[key] = cached
+        return cached
+
+    def first_tile_extent(self, name: str, dim: int,
+                          tile_sizes: Mapping[str, int]) -> int:
+        """Extent of dimension *dim* of the all-first tile's hull of an
+        array whose accesses carry no guards.  It depends only on the
+        sizes of the dimension's support (:attr:`RangeProgram.support`),
+        the only entries *tile_sizes* needs and the memo key.  By hull
+        monotonicity it is a lower bound on :meth:`bounding_shape`'s
+        extent."""
+        program = self.program(name)
+        support = program.support[dim]
+        key = (name, dim, tuple(tile_sizes[v] for v in support))
+        cached = self._extent.get(key)
+        if cached is None:
+            box = [tile_interval(node, 0, tile_sizes.get(node.var, 1))
+                   for node in self.component.nodes]
+            _, lo, hi = program.hull(box)[dim]
+            cached = self._extent[key] = hi - lo + 1
         return cached
 
     def has_separating_dim(self, name: str, level: int,
@@ -638,7 +698,7 @@ class SegmentPlanner:
         shape, nbytes = self.geometry.range_shape(name, tile_sizes, widths)
         cached = self._transfer.get((name, shape))
         if cached is None:
-            array = self.component.arrays()[name]
+            array = self.geometry.program(name).array
             cached = self._transfer[name, shape] = transfer_time_ns(
                 shape, array.shape, array.element_size, self.platform)
         return cached, nbytes

@@ -14,14 +14,13 @@ from repro.loopir.component import component_at
 from repro.poly.affine import AffineExpr, aff
 from repro.prem.ranges import (
     CanonicalRange,
-    bounding_box,
     canonical_range,
-    _symbolic_min,
     partial_bounds,
     ranges_overlap,
     tile_box,
 )
 from repro.poly.access import Array
+from tests.range_oracle import symbolic_min
 from tests.strategies import (
     affine_exprs,
     bound_pairs,
@@ -131,12 +130,12 @@ class TestCnnHalo:
 
 class TestBoundingBox:
     def test_dominated_by_full_tile(self, lstm_large):
-        bbox = bounding_box(lstm_large, "U_i", SIZES)
+        bbox = lstm_large.geometry.bounding_shape("U_i", SIZES)
         assert bbox == (109, 350)
 
     def test_unknown_array_raises(self, lstm_large):
         with pytest.raises(LookupError):
-            bounding_box(lstm_large, "nope", SIZES)
+            lstm_large.geometry.bounding_shape("nope", SIZES)
 
 
 class TestOverlap:
@@ -180,6 +179,8 @@ class TestGuardNarrowing:
 # versions of the hull helpers: one expression per term, comparisons on
 # copied coefficient maps.  The shipped helpers accumulate plain numbers
 # and compare maps in place; on every input they must agree exactly.
+# ``symbolic_min`` is the fold of the range-program oracle
+# (tests/range_oracle.py), held here to the same reference.
 
 def reference_partial_bounds(expr, box):
     lo = AffineExpr.const(expr.constant)
@@ -262,7 +263,7 @@ class TestHullArithmeticOracles:
         current, candidate = pair
         current = current if first else None
         array = Array("a", (64,))
-        got = _symbolic_min(current, candidate, array, 0, take_min)
+        got = symbolic_min(current, candidate, 64, take_min)
         want = reference_symbolic_min(current, candidate, array, 0, take_min)
         assert got == want
         if current is not None and current.coeffs != candidate.coeffs:
