@@ -57,6 +57,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -517,9 +518,9 @@ def _parse_weights(tokens):
             raise KernelConfigError(
                 f"malformed --weights value {token!r}: expected four "
                 f"comma-separated numbers")
-        if len(vector) != 4 or any(w <= 0 for w in vector):
+        if len(vector) != 4 or not all(0 < w < math.inf for w in vector):
             raise KernelConfigError(
-                f"--weights {token!r}: need exactly four strictly "
+                f"--weights {token!r}: need exactly four finite, strictly "
                 f"positive numbers (makespan, SPM, DMA, cores)")
         vectors.append(vector)
     return vectors

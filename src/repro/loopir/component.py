@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
 from ..poly.access import Access, Array
@@ -79,13 +80,17 @@ class TilableComponent:
         """All statements executed by the component (incl. folded levels)."""
         return self.kernel.stmts_under(self.nodes[-1].loop)
 
-    def arrays(self) -> Dict[str, Array]:
-        """``L.A`` — every array accessed in the component."""
+    def arrays(self) -> Mapping[str, Array]:
+        """``L.A`` — every array accessed in the component, read-only."""
+        return self._arrays
+
+    @cached_property
+    def _arrays(self) -> Mapping[str, Array]:
         out: Dict[str, Array] = {}
         for stmt in self.stmts():
             for array in stmt.arrays():
                 out.setdefault(array.name, array)
-        return out
+        return MappingProxyType(out)
 
     def accesses(self, array_name: str) -> List[Tuple[Stmt, Access]]:
         """(stmt, access) pairs touching *array_name*."""
@@ -109,8 +114,13 @@ class TilableComponent:
         descend(last)
         return tuple(inner)
 
-    def full_inner_box(self) -> Dict[str, Tuple[int, int]]:
-        """Full iterator bounds for the inner (non-band) loops."""
+    def full_inner_box(self) -> Mapping[str, Tuple[int, int]]:
+        """Full iterator bounds for the inner (non-band) loops,
+        read-only."""
+        return self._full_inner_box
+
+    @cached_property
+    def _full_inner_box(self) -> Mapping[str, Tuple[int, int]]:
         box = {}
         last = self.nodes[-1].loop
 
@@ -120,7 +130,7 @@ class TilableComponent:
                 descend(child)
 
         descend(last)
-        return box
+        return MappingProxyType(box)
 
     @cached_property
     def geometry(self) -> TileGeometry:

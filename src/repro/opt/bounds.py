@@ -52,12 +52,6 @@ from ..timing.platform import Platform
 #: Safety factor absorbing re-association rounding (see module docstring).
 _SAFETY = 1.0 - 1e-9
 
-#: Masks enumerated per array when searching the cheapest event transfer;
-#: above this many remainder levels the DMA term falls back to zero
-#: (still admissible, never reached by the corpus).
-_MAX_MASK_LEVELS = 6
-
-
 def flatten_key(key: Sequence[Tuple[str, int, int]]) -> Tuple[int, ...]:
     """``Solution.key()`` with the level names dropped: ``(K1, R1, K2,
     R2, ...)``.  Within one component the names are identical across
@@ -110,12 +104,11 @@ class BoundCalculator:
             platform.api_cost("end_segment")
         self._seg_api = platform.api_cost("end_segment")
         self._nodes = list(component.nodes)
-        self._node_by_var = {node.var: node for node in self._nodes}
         #: (level, K, R) -> [((tiles, span), group multiplicity)]
         self._level_opts: Dict[Tuple[int, int, int],
                                List[Tuple[Tuple[int, int], int]]] = {}
         self._spm_terms = self._build_spm_terms()
-        #: (array, key-variable sizes) -> _cheapest_event's pair.
+        #: :meth:`TileGeometry.table_key` -> _cheapest_event's pair.
         self._cheapest: Dict[Tuple, Tuple[float, int]] = {}
         #: Per-array direction count: ops the DMA carries per swap event.
         self._dirs = {
@@ -447,41 +440,26 @@ class BoundCalculator:
         """``(transfer_ns, payload_bytes)``: the cheapest transfer and,
         minimized independently (each floor is admissible on its own
         axis), the cheapest payload any swap event of *name* can carry —
-        the min over every remainder-mask combination of the canonical
-        range (transfer is *not* monotone in tile widths — a wider range
-        can coalesce into fewer DMA lines)."""
-        key_vars = self.geometry.key_vars(name)
-        memo_key = (name, tuple(sizes_map[v] for v in key_vars))
+        the min over the :meth:`TileGeometry.hull_table` entries whose
+        levels all have a remainder tile, which are the ranges a swap
+        event can take (transfer is *not* monotone in tile widths — a
+        wider range can coalesce into fewer DMA lines)."""
+        memo_key = self.geometry.table_key(name, sizes_map)
         cached = self._cheapest.get(memo_key)
         if cached is not None:
             return cached
-        rem_vars = []
-        for var in key_vars:
-            node = self._node_by_var[var]
-            k = sizes_map[var]
-            m = -(-node.N // k)
-            rem_w = node.N - (m - 1) * k
-            if rem_w != k:
-                rem_vars.append((var, rem_w))
-        entries = []
-        if len(rem_vars) <= _MAX_MASK_LEVELS:
-            array = self.geometry.program(name).array
-            try:
-                for choice in product((False, True), repeat=len(rem_vars)):
-                    widths = dict(sizes_map)
-                    for (var, rem_w), take in zip(rem_vars, choice):
-                        if take:
-                            widths[var] = rem_w
-                    shape, nbytes = self.geometry.range_shape(
-                        name, sizes_map, widths)
-                    entries.append((transfer_time_ns(
-                        shape, array.shape, array.element_size,
-                        self.platform), nbytes))
-            except LookupError:
-                entries = []
-        xfer = min((entry[0] for entry in entries), default=0.0)
-        cached = (xfer if math.isfinite(xfer) else 0.0,
-                  min((int(entry[1]) for entry in entries), default=0))
+        mask, entries, _ = self.geometry.hull_table(name, sizes_map)
+        for level, node in enumerate(self._nodes):
+            if node.N % sizes_map[node.var] == 0:
+                mask &= ~(1 << level)
+        array = self.geometry.program(name).array
+        xfer, nbytes = math.inf, math.inf
+        for sub, (shape, payload) in entries.items():
+            if sub & mask == sub:
+                xfer = min(xfer, transfer_time_ns(
+                    shape, array.shape, array.element_size, self.platform))
+                nbytes = min(nbytes, payload)
+        cached = (xfer if math.isfinite(xfer) else 0.0, int(nbytes))
         self._cheapest[memo_key] = cached
         return cached
 

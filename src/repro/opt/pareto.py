@@ -193,7 +193,7 @@ def scalarize(front: Sequence[ParetoPoint],
     per-objective minimum appears on the front, so the ranges — and the
     winner — are as deterministic as the front itself); a degenerate
     range falls back to an absolute offset, which preserves strictness.
-    All weights must be strictly positive: that is what keeps every
+    All weights must be finite and strictly positive: that keeps every
     dominated candidate from scoring below its dominator, so the
     winner over the front is the winner over every scored candidate."""
     weights = tuple(float(w) for w in weights)
@@ -201,9 +201,9 @@ def scalarize(front: Sequence[ParetoPoint],
         raise ValueError(
             f"need {len(OBJECTIVES)} weights {OBJECTIVES}, "
             f"got {len(weights)}")
-    if any(w <= 0.0 for w in weights):
+    if not all(0.0 < w < math.inf for w in weights):
         raise ValueError(
-            "scalarization weights must be strictly positive "
+            "scalarization weights must be finite and strictly positive "
             "(a zero weight voids the winner-on-front guarantee)")
     if not front:
         raise ValueError("cannot scalarize an empty front")

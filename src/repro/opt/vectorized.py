@@ -21,13 +21,15 @@ factor): every floating-point accumulation replicates the serial
 operation order — per-array API charges in array-dict order, loads
 before unloads, the handler pass last, ``max`` then ``add`` in the
 recurrence — and IEEE-754 elementwise numpy arithmetic equals Python
-float arithmetic operation for operation.  Transfer times come out of
-the serial planner's own
-:meth:`~repro.prem.segments.SegmentPlanner.range_cost` over the
-component's shared :class:`TileGeometry`, and execution estimates
-apply the same exec model at the same widths, so batch and serial
-scoring are bit-identical, not merely close (DESIGN.md §11 states the
-argument; the hypothesis parity tests enforce it).
+float arithmetic operation for operation.  Transfer times are read
+from the serial planner's own
+:meth:`~repro.prem.segments.SegmentPlanner.priced_table` — the
+component's shared hull table, priced on the planner's platform and
+indexed by each event's remainder mask exactly as the serial plan
+indexes it — and execution estimates apply the same exec model at the
+same widths, so batch and serial scoring are bit-identical, not merely
+close (DESIGN.md §11 states the argument; the hypothesis parity tests
+enforce it).
 
 Exactness contract: a candidate is scored by the vector engine whenever
 its padded tensor slice fits the cell budget (``cores * (segments + 2)
@@ -100,11 +102,6 @@ class BatchEvaluator:
         #: vector model decided the candidate (including cache hits and
         #: preflight-exact infeasibles), False for simulator fallbacks.
         self.exactness_mask: List[bool] = []
-        # (array, K vector, remainder submask) -> (transfer_ns, bytes);
-        # chunks with different R assignments revisit the same tile-size
-        # points, and this skips even the shared geometry memo's
-        # dict-building on those repeats.
-        self._range_memo: Dict[tuple, tuple] = {}
 
     # -- public ------------------------------------------------------------
 
@@ -264,7 +261,7 @@ class BatchEvaluator:
             & (rem[:, None, :] != K[:, None, :])
 
         names = list(entries[0][2])
-        skeys = [tuple(lv.K for lv in entry[1].levels) for entry in entries]
+        sizes = [entry[1].tile_sizes for entry in entries]
 
         # A core's whole event structure — odometer masks, rollovers,
         # event slots, API charges, dependencies — is a function of its
@@ -376,13 +373,11 @@ class BatchEvaluator:
             e_m = m_u[eu]
             e_n = n_pc_u[eu]
 
-            # Transfer values via the planner's range_cost: the shared
-            # geometry's range key only involves the array's key
-            # variables, so the submask below addresses exactly the
-            # serial cache entries.
-            # Values depend on the candidate (through its tile sizes)
-            # and the remainder submask — a (candidate, submask) table
-            # bridges the row-level structure and per-candidate bytes.
+            # Transfer values from the planner's priced hull tables: the
+            # range of an event depends on the candidate (through its
+            # tile sizes) and on the remainder mask of its key levels,
+            # so a (candidate, submask) table bridges the row-level
+            # structure and per-candidate values.
             kv = set(planner.geometry.key_vars(name))
             keymask = 0
             for j, level in enumerate(sol0.levels):
@@ -390,25 +385,15 @@ class BatchEvaluator:
                     keymask |= 1 << j
             e_sub = mask_u[eu, ep] & keymask
             sub_vals, e_scol = np.unique(e_sub, return_inverse=True)
-            nsv = len(sub_vals)
+            subs = sub_vals.tolist()
+            nsv = len(subs)
             t_table = np.zeros((B, nsv + 1))      # last column: no event
             p_table = np.zeros((B, nsv), np.int64)
-            for bi, (_key, solution, *_rest) in enumerate(entries):
-                sk = skeys[bi]
-                for ci, sub in enumerate(sub_vals):
-                    sub = int(sub)
-                    mkey = (name, sk, sub)
-                    hit = self._range_memo.get(mkey)
-                    if hit is None:
-                        widths = {
-                            level.var: level.remainder_width
-                            for j, level in enumerate(solution.levels)
-                            if (sub >> j) & 1
-                        }
-                        hit = planner.range_cost(
-                            name, solution.tile_sizes, widths)
-                        self._range_memo[mkey] = hit
-                    t_table[bi, ci], p_table[bi, ci] = hit
+            for bi in range(B):
+                table_mask, priced = planner.priced_table(name, sizes[bi])
+                for ci, sub in enumerate(subs):
+                    t_table[bi, ci], p_table[bi, ci] = \
+                        priced[sub & table_mask]
 
             # Initialisation-segment API charges, in serial order:
             # 2×allocate, then the first two swaps.

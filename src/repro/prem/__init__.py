@@ -4,7 +4,7 @@ from .codegen import CodeGenerator
 from .macros import ArraySwapSchedule, MacroBuilder, SwapEvent, render_trace
 from .ranges import (
     CanonicalRange,
-    canonical_range,
+    access_range,
     partial_bounds,
     ranges_overlap,
     tile_box,
@@ -33,7 +33,7 @@ from .swapgen import SwapCall, generate_swap_call, validate_swap_call
 __all__ = [
     "CodeGenerator",
     "ArraySwapSchedule", "MacroBuilder", "SwapEvent", "render_trace",
-    "CanonicalRange", "canonical_range", "partial_bounds", "ranges_overlap",
+    "CanonicalRange", "access_range", "partial_bounds", "ranges_overlap",
     "tile_box",
     "PremRuntime", "SequentialInterpreter", "SpmBufferView", "init_arrays",
     "run_kernel_prem",

@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..loopir.component import TilableComponent
 from ..opt.solution import Solution
-from .ranges import CanonicalRange, canonical_range, tile_box
+from .ranges import CanonicalRange, access_range, tile_box
 from .segments import RO, RW, WO, classify_modes
 from .swapgen import SwapCall, generate_swap_call
 
@@ -166,7 +166,7 @@ class MacroBuilder:
             previous: Optional[CanonicalRange] = None
             for segment, indices in enumerate(tiles, start=1):
                 box = tile_box(self.component, indices, sizes)
-                crange = canonical_range(self.component, name, box)
+                crange = access_range(self.component, name, box)
                 if crange is None:
                     continue
                 if previous is None or not crange.same_as(previous):

@@ -23,9 +23,9 @@ guards as integer intervals.  A hull is then integer min/max over the
 accesses' ``(lo, hi)`` pairs, with one widening rule: two accesses whose
 signatures differ in a dimension make that dimension the full array
 extent (signature empty), and later accesses fold into the widened
-bounds as into any other.  :func:`access_range` and
-:func:`canonical_range` turn a hull back into symbolic bounds for the
-consumers that need them (swap calls, the static verifier).
+bounds as into any other.  :func:`access_range` turns a hull back into
+symbolic bounds for the consumers that need them (swap calls, the
+static verifier).
 """
 
 from __future__ import annotations
@@ -350,31 +350,21 @@ def _narrow(box: Sequence[Tuple[int, int]], clamps
     return narrowed
 
 
-def canonical_range(component: TilableComponent, array_name: str,
-                    box: Mapping[str, Tuple[int, int]]
-                    ) -> Optional[CanonicalRange]:
-    """Hull of all accesses to *array_name* over one tile box.
-
-    Returns None when no statement touching the array is active in the
-    tile.  Dimension bounds are symbolic over outer iterators; when two
-    accesses disagree on outer coefficients the dimension conservatively
-    widens to the full array extent.
-    """
-    return access_range(component, array_name, box)
-
-
 def access_range(component: TilableComponent, array_name: str,
                  box: Mapping[str, Tuple[int, int]], *,
                  reads: bool = True, writes: bool = True
                  ) -> Optional[CanonicalRange]:
     """Hull of the selected accesses to *array_name* over one tile box.
 
-    The generalisation of :func:`canonical_range` the race detector
-    needs: restricting to ``reads`` or ``writes`` yields the tile's read
-    or write footprint instead of the combined streaming hull.  *box*
-    is a :func:`tile_box`: only its band levels are read, inner loops
-    always span their full range.  Evaluated by the component's
-    :class:`RangeProgram` for *array_name*.
+    Returns None when no selected access is active in the tile.  By
+    default the hull covers every access, the tile's streaming range;
+    restricting to ``reads`` or ``writes`` yields the tile's read or
+    write footprint the race detector needs.  Dimension bounds are
+    symbolic over outer iterators; when two accesses disagree on outer
+    coefficients the dimension conservatively widens to the full array
+    extent.  *box* is a :func:`tile_box`: only its band levels are
+    read, inner loops always span their full range.  Evaluated by the
+    component's :class:`RangeProgram` for *array_name*.
     """
     program = component.geometry.program(array_name)
     hull = program.hull(

@@ -20,9 +20,13 @@ This module is the one copy of the segment legality rules (SPM fit,
 segment cap, Section 5.3.1's write overlap): the batch evaluator
 (``repro.opt.vectorized``) calls :meth:`SegmentPlanner.preflight`
 instead of keeping its own, and the memos both paths share live here —
-array plans per tile-size vector in the planner, the platform-free
-hulls (separating-dimension test included) in the component's one
-:class:`TileGeometry`.
+array plans per tile-size vector and priced hull tables per (array, key
+sizes) in the planner, the platform-free hulls (separating-dimension
+test included) in the component's one :class:`TileGeometry`.  One
+:class:`HullTable` per array and key sizes holds the hull of every
+first/last-tile combination of the key levels: the bounding box is its
+componentwise max, and a swap event's range is the entry its remainder
+mask selects.
 
 Slot convention: the DMA op in slot ``s`` of core ``i`` runs between the
 executions of segments ``s-2`` and ``s-1``..``s`` — it may start once
@@ -34,8 +38,8 @@ Slots ``1..n`` precede their same-numbered segment; slots ``n+1`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple)
 
 from ..errors import InfeasibleScheduleError
 from ..loopir.component import TilableComponent
@@ -139,20 +143,35 @@ def _guards_pin_to_first(kernel, stmt) -> bool:
 # shared range geometry
 
 
+class HullTable(NamedTuple):
+    """Every boundary tile's hull of one array under one set of key sizes.
+
+    Bit ``j`` of a submask set means "level ``j`` sits on its last
+    tile"; ``entries`` holds one ``(shape, bytes)`` per submask of
+    ``mask``, the key levels with more than one tile.  A swap event on
+    remainder mask ``m`` carries ``entries[m & mask]``; ``bounding`` is
+    the componentwise max over the non-empty entries (None when every
+    entry is empty)."""
+
+    mask: int
+    entries: Dict[int, Tuple[Tuple[int, ...], int]]
+    bounding: Optional[Tuple[int, ...]]
+
+
 class TileGeometry:
     """Memoized per-array tile geometry of one component (Section 5.3.1).
 
     Hulls depend only on the loop nest and on the tile sizes of the band
     iterators in an array's subscripts or in the guards of its accessing
     statements — the array's *key variables* — never on a platform or an
-    exec model.  So every memo is keyed by the restricted
-    ``(array, var -> K)`` sub-key, and one instance, reached as
+    exec model.  So every memo is keyed by :meth:`table_key`, the
+    array and its key-variable sizes, and one instance, reached as
     ``component.geometry``, serves every planner (nominal and scenario),
     bound calculator, macro builder and verifier pass of a compile.
     Every hull is evaluated by the array's
     :class:`~repro.prem.ranges.RangeProgram`, compiled once per
     component.  Consumers price the shapes themselves: transfer ns on
-    their own platform (:meth:`SegmentPlanner.range_cost`), exec ns
+    their own platform (:meth:`SegmentPlanner.priced_table`), exec ns
     with their own model.
     """
 
@@ -161,8 +180,7 @@ class TileGeometry:
         self._programs: Dict[str, RangeProgram] = {}
         self._key_vars: Dict[str, Tuple[str, ...]] = {}
         self._relevant: Dict[Tuple, Tuple[int, ...]] = {}
-        self._bounding: Dict[Tuple, Tuple[int, ...]] = {}
-        self._range: Dict[Tuple, Tuple[Tuple[int, ...], int]] = {}
+        self._hulls: Dict[Tuple, HullTable] = {}
         self._extent: Dict[Tuple, int] = {}
         self._separating: Dict[Tuple[str, int, int], bool] = {}
 
@@ -191,8 +209,10 @@ class TileGeometry:
             self._key_vars[name] = cached
         return cached
 
-    def _subkey(self, name: str, tile_sizes: Mapping[str, int]) -> Tuple:
-        return tuple((v, int(tile_sizes[v])) for v in self.key_vars(name))
+    def table_key(self, name: str, tile_sizes: Mapping[str, int]) -> Tuple:
+        """``(name, key-variable sizes)``: all a hull of *name* under
+        *tile_sizes* depends on, and the key of every per-array memo."""
+        return name, tuple([tile_sizes[v] for v in self.key_vars(name)])
 
     def relevant_levels(self, name: str,
                         tile_sizes: Mapping[str, int]) -> Tuple[int, ...]:
@@ -205,7 +225,7 @@ class TileGeometry:
         swapped.  The test compares the hull of the all-first tile with
         that of its neighbour along each key level that has one.
         """
-        key = (name, self._subkey(name, tile_sizes))
+        key = self.table_key(name, tile_sizes)
         cached = self._relevant.get(key)
         if cached is None:
             program = self.program(name)
@@ -226,43 +246,64 @@ class TileGeometry:
             self._relevant[key] = cached
         return cached
 
+    def hull_table(self, name: str,
+                   tile_sizes: Mapping[str, int]) -> HullTable:
+        """The :class:`HullTable` of *name* under *tile_sizes*.
+
+        Its levels are the key levels with more than one tile.  The
+        entry at submask ``s`` is the ``(shape, bytes)`` of the tile
+        sitting on its last tile at every level in ``s`` and on its
+        first tile everywhere else; a tile that touches no array gives
+        ``((), 0)``.  Levels outside the table cannot move the hull,
+        or their last tile is their first."""
+        key = self.table_key(name, tile_sizes)
+        table = self._hulls.get(key)
+        if table is None:
+            program = self.program(name)
+            key_vars = self.key_vars(name)
+            first, last = [], []
+            mask = 0
+            for level, node in enumerate(self.component.nodes):
+                size = int(tile_sizes[node.var])
+                first.append(tile_interval(node, 0, size))
+                last.append(tile_interval(node, -(-node.N // size) - 1, size))
+                if node.var in key_vars and node.N > size:
+                    mask |= 1 << level
+            entries: Dict[int, Tuple[Tuple[int, ...], int]] = {}
+            sub = mask
+            while True:
+                hull = program.hull([
+                    last[j] if sub >> j & 1 else first[j]
+                    for j in range(len(first))])
+                if hull is None:
+                    entries[sub] = ((), 0)
+                else:
+                    shape = hull_shape(hull)
+                    entries[sub] = (shape, transfer_bytes(
+                        shape, program.array.element_size))
+                if not sub:
+                    break
+                sub = (sub - 1) & mask
+            shapes = [shape for shape, nbytes in entries.values() if nbytes]
+            table = self._hulls[key] = HullTable(
+                mask, entries,
+                tuple(map(max, zip(*shapes))) if shapes else None)
+        return table
+
     def bounding_shape(self, name: str,
                        tile_sizes: Mapping[str, int]) -> Tuple[int, ...]:
-        """Componentwise-max canonical range over sampled tiles.
+        """Componentwise-max canonical range over the :meth:`hull_table`.
 
         Hulls are monotone in the tile box, so the full (non-remainder)
         tile dominates every boundary tile; sampling the first and last
         tile of every key level, crossed over levels, covers
-        guard-activated statements as well.  Other levels cannot move
-        the hull and stay on their first tile."""
-        key = (name, self._subkey(name, tile_sizes))
-        cached = self._bounding.get(key)
-        if cached is None:
-            program = self.program(name)
-            key_vars = self.key_vars(name)
-            choices = []
-            for node in self.component.nodes:
-                size = tile_sizes[node.var]
-                first = tile_interval(node, 0, size)
-                if node.var in key_vars and node.N > size:
-                    choices.append((first, tile_interval(
-                        node, -(-node.N // size) - 1, size)))
-                else:
-                    choices.append((first,))
-            best: Optional[List[int]] = None
-            for box in product(*choices):
-                hull = program.hull(box)
-                if hull is None:
-                    continue
-                shape = hull_shape(hull)
-                best = list(shape) if best is None else \
-                    [max(b, s) for b, s in zip(best, shape)]
-            if best is None:
-                raise LookupError(
-                    f"array {name} is never accessed in component "
-                    f"{self.component.label()}")
-            cached = self._bounding[key] = tuple(best)
-        return cached
+        guard-activated statements as well."""
+        shape = self.hull_table(name, tile_sizes).bounding
+        if shape is None:
+            raise LookupError(
+                f"array {name} is never accessed in component "
+                f"{self.component.label()}")
+        return shape
 
     def bounding_bytes(self, name: str,
                        tile_sizes: Mapping[str, int]) -> int:
@@ -271,35 +312,6 @@ class TileGeometry:
         for extent in shape:
             total *= extent
         return total
-
-    def range_shape(self, name: str, tile_sizes: Mapping[str, int],
-                    widths: Mapping[str, int]
-                    ) -> Tuple[Tuple[int, ...], int]:
-        """(shape, bytes) of the canonical range of the tile selected by
-        *widths*: per level, a width equal to the tile size selects the
-        first tile, anything else the remainder tile.  A tile that does
-        not touch the array has shape ``()`` and 0 bytes."""
-        key = (name, tuple(
-            (v, int(tile_sizes[v]), int(widths.get(v, tile_sizes[v])))
-            for v in self.key_vars(name)))
-        cached = self._range.get(key)
-        if cached is None:
-            box = []
-            for node in self.component.nodes:
-                size = int(tile_sizes[node.var])
-                index = 0 if int(widths.get(node.var, size)) == size \
-                    else -(-node.N // size) - 1
-                box.append(tile_interval(node, index, size))
-            program = self.program(name)
-            hull = program.hull(box)
-            if hull is None:
-                cached = ((), 0)
-            else:
-                shape = hull_shape(hull)
-                cached = (shape, transfer_bytes(
-                    shape, program.array.element_size))
-            self._range[key] = cached
-        return cached
 
     def first_tile_extent(self, name: str, dim: int,
                           tile_sizes: Mapping[str, int]) -> int:
@@ -485,9 +497,10 @@ class SegmentPlanner:
         #: Tile-size vector -> :meth:`_array_plans`' (plans, SPM bytes).
         self._by_sizes: Dict[Tuple[int, ...],
                              Tuple[Dict[str, ArrayPlan], int]] = {}
-        #: Platform- and model-priced memos over the shared geometry.
-        self._transfer: Dict[Tuple[str, Tuple[int, ...]], float] = {}
-        self._exec: Dict[Tuple[int, ...], float] = {}
+        #: (array, key sizes) -> :meth:`priced_table`'s table.
+        self._priced: Dict[Tuple, Tuple[int, Dict[int, Tuple[float, int]]]] = {}
+        #: Tile-size vector -> remainder mask -> exec estimate, ns.
+        self._exec: Dict[Tuple[int, ...], Dict[int, float]] = {}
 
     # -- public -----------------------------------------------------------
 
@@ -524,12 +537,8 @@ class SegmentPlanner:
         array_plans, spm_needed = self.preflight(
             solution, max_segments_per_core)
 
-        # Mask-keyed caches are scoped to one solution (the remainder
-        # bitmask encodes widths relative to this solution's tile sizes);
-        # they are shared by all cores of the plan.
-        mask_caches = ({}, {})
         cores = [
-            self._plan_core(core, solution, array_plans, mask_caches)
+            self._plan_core(core, solution, array_plans)
             for core in range(solution.threads)
         ]
         return ComponentPlan(
@@ -595,9 +604,7 @@ class SegmentPlanner:
     # -- per-core planning ----------------------------------------------------
 
     def _plan_core(self, core: int, solution: Solution,
-                   plans: Mapping[str, ArrayPlan],
-                   mask_caches) -> CoreSchedule:
-        exec_mask_cache, shape_mask_cache = mask_caches
+                   plans: Mapping[str, ArrayPlan]) -> CoreSchedule:
         counts = solution.core_tile_counts(core)
         blocks = [
             level.group_tiles(group)
@@ -611,12 +618,12 @@ class SegmentPlanner:
             return CoreSchedule(core, 0, 0.0, [], [0.0, 0.0], [], 0, 0)
 
         depth = len(solution.levels)
-        band = [level.var for level in solution.levels]
         names = list(plans)
         # Per level, whether a given block position is the remainder tile.
-        # A tile's width vector is fully determined by the bitmask of
-        # levels sitting on their remainder tile, which the odometer walk
-        # maintains incrementally — no per-segment width recomputation.
+        # A tile's widths, and so its exec estimate and every array's
+        # range, are fully determined by the bitmask of levels sitting
+        # on their remainder tile, which the odometer walk maintains
+        # incrementally — no per-segment width recomputation.
         remainder_bit: List[List[int]] = []
         for j, level in enumerate(solution.levels):
             flags = []
@@ -638,6 +645,10 @@ class SegmentPlanner:
                     bucket.append(name)
             changed_names.append(bucket)
 
+        sizes = solution.tile_sizes
+        tables = {name: self.priced_table(name, sizes) for name in names}
+        exec_by_mask = self._exec.setdefault(
+            tuple(level.K for level in solution.levels), {})
         exec_base: List[float] = []
         events: Dict[str, List[ChangeEvent]] = {name: [] for name in names}
 
@@ -659,49 +670,38 @@ class SegmentPlanner:
                 mask = (mask & ~(1 << rollover)) | \
                     remainder_bit[rollover][z[rollover]]
                 changed = changed_names[rollover]
-            cached = exec_mask_cache.get(mask)
+            cached = exec_by_mask.get(mask)
             if cached is None:
-                cached = self._exec_estimate(
-                    self._mask_widths(mask, solution))
-                exec_mask_cache[mask] = cached
+                widths = tuple(
+                    level.remainder_width if mask >> j & 1 else level.K
+                    for j, level in enumerate(solution.levels))
+                cached = exec_by_mask[mask] = \
+                    self.exec_model.estimate(widths) * \
+                    self.platform.ns_per_cycle
             exec_base.append(cached)
             for name in changed:
-                key = (name, mask)
-                entry = shape_mask_cache.get(key)
-                if entry is None:
-                    entry = self.range_cost(
-                        name, solution.tile_sizes, dict(zip(
-                            band, self._mask_widths(mask, solution))))
-                    shape_mask_cache[key] = entry
-                events[name].append(
-                    ChangeEvent(segment, entry[0], entry[1]))
+                table_mask, priced = tables[name]
+                transfer_ns, nbytes = priced[mask & table_mask]
+                events[name].append(ChangeEvent(segment, transfer_ns, nbytes))
 
         return self._assign_slots(core, n, exec_base, events, plans)
 
-    def _mask_widths(self, mask: int, solution: Solution) -> Tuple[int, ...]:
-        return tuple(
-            level.remainder_width if mask & (1 << j) else level.K
-            for j, level in enumerate(solution.levels))
-
-    def _exec_estimate(self, widths: Tuple[int, ...]) -> float:
-        """Execution-phase estimate for one tile of the given widths, ns."""
-        cached = self._exec.get(widths)
+    def priced_table(self, name: str, tile_sizes: Mapping[str, int]
+                     ) -> Tuple[int, Dict[int, Tuple[float, int]]]:
+        """``(mask, {submask: (transfer_ns, bytes)})``: the shared
+        :meth:`TileGeometry.hull_table`, priced on this planner's
+        platform once per (array, key sizes)."""
+        key = self.geometry.table_key(name, tile_sizes)
+        cached = self._priced.get(key)
         if cached is None:
-            cached = self._exec[widths] = \
-                self.exec_model.estimate(widths) * self.platform.ns_per_cycle
-        return cached
-
-    def range_cost(self, name: str, tile_sizes: Mapping[str, int],
-                   widths: Mapping[str, int]) -> Tuple[float, int]:
-        """(transfer_ns, bytes) of :meth:`TileGeometry.range_shape`'s
-        range, priced on this planner's platform."""
-        shape, nbytes = self.geometry.range_shape(name, tile_sizes, widths)
-        cached = self._transfer.get((name, shape))
-        if cached is None:
+            mask, entries, _ = self.geometry.hull_table(name, tile_sizes)
             array = self.geometry.program(name).array
-            cached = self._transfer[name, shape] = transfer_time_ns(
-                shape, array.shape, array.element_size, self.platform)
-        return cached, nbytes
+            cached = self._priced[key] = (mask, {
+                sub: (transfer_time_ns(shape, array.shape,
+                                       array.element_size, self.platform),
+                      nbytes)
+                for sub, (shape, nbytes) in entries.items()})
+        return cached
 
     # -- slot assignment (Section 3.5 rules) -----------------------------------
 

@@ -276,7 +276,8 @@ class TestCommands:
         assert "weights (0.7,0.1,0.1,0.1)" in out
         assert "weights (0.25,0.25,0.25,0.25)" in out
 
-    @pytest.mark.parametrize("bad", ["0,1,1,1", "1,2,3", "a,b,c,d"])
+    @pytest.mark.parametrize("bad", ["0,1,1,1", "1,2,3", "a,b,c,d",
+                                     "nan,1,1,1", "inf,1,1,1"])
     def test_pareto_bad_weights_exit_2(self, bad, capsys):
         code = main(["pareto", "rnn", "--preset", "MINI", "--spm", "8",
                      "--weights", bad])

@@ -35,6 +35,17 @@ class TestComponent:
         comp = component_at(lstm_tree, ["s1_0", "p"])
         assert comp.outer_vars() == ("t",)
 
+    def test_arrays_and_inner_box_are_cached_and_read_only(self, cnn_tree):
+        comp = component_at(cnn_tree, ["n", "k"])
+        assert comp.arrays() is comp.arrays()
+        assert comp.full_inner_box() is comp.full_inner_box()
+        name = next(iter(comp.arrays()))
+        var = next(iter(comp.full_inner_box()))
+        with pytest.raises(TypeError):
+            comp.arrays()[name] = None
+        with pytest.raises(TypeError):
+            comp.full_inner_box()[var] = (0, 0)
+
     def test_arrays_of_lstm_component(self, lstm_tree):
         names = set(component_at(lstm_tree, ["s1_0", "p"]).arrays())
         assert names == {"i", "f", "o", "g",

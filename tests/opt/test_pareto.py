@@ -182,6 +182,11 @@ class TestScalarizeValidation:
         with pytest.raises(ValueError, match="strictly positive"):
             scalarize(self.FRONT, (1.0, -1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            scalarize(self.FRONT, (bad, 1.0, 1.0, 1.0))
+
     def test_rejects_empty_front(self):
         with pytest.raises(ValueError, match="empty"):
             scalarize((), (0.25, 0.25, 0.25, 0.25))

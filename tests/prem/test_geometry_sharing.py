@@ -3,8 +3,10 @@
 The contracts under test: every planner, bound calculator, macro
 builder and verifier footprint pass of one compile reads the very
 ``component.geometry`` object; the geometry holds no platform and no
-execution model; and two planners on different platforms see equal
-range shapes and bytes but price them differently.
+execution model; two planners on different platforms see equal
+range shapes and bytes but price them differently; and once a
+tile-size vector's hull tables exist, neither a plan nor the bound
+tier's DMA path evaluates another hull.
 """
 
 import inspect
@@ -19,8 +21,10 @@ from repro.loopir import LoopTree
 from repro.loopir.component import component_at
 from repro.opt.bounds import BoundCalculator
 from repro.opt.exhaustive import assignment_candidates
+from repro.opt.solution import Solution
 from repro.opt.threadgroups import generate_nondominated_thread_groups
 from repro.prem.macros import MacroBuilder
+from repro.prem.ranges import RangeProgram
 from repro.prem.segments import SegmentPlanner, TileGeometry
 from repro.sim.profiler import fit_component_model
 from repro.timing.execmodel import ExecModel
@@ -157,16 +161,19 @@ def test_planners_share_shapes_but_price_their_own_platform():
         for sizes in product(*lists):
             tile_sizes = dict(zip(vars_, sizes))
             for name in component.arrays():
-                shape, nbytes = component.geometry.range_shape(
-                    name, tile_sizes, tile_sizes)
-                fast_ns, fast_bytes = fast.range_cost(
-                    name, tile_sizes, tile_sizes)
-                slow_ns, slow_bytes = slow.range_cost(
-                    name, tile_sizes, tile_sizes)
-                assert fast_bytes == slow_bytes == nbytes
-                if shape:
-                    assert slow_ns > fast_ns
-                    compared += 1
+                table = component.geometry.hull_table(name, tile_sizes)
+                fast_mask, fast_priced = fast.priced_table(name, tile_sizes)
+                slow_mask, slow_priced = slow.priced_table(name, tile_sizes)
+                assert fast_mask == slow_mask == table.mask
+                assert fast_priced.keys() == slow_priced.keys() \
+                    == table.entries.keys()
+                for sub, (shape, nbytes) in table.entries.items():
+                    fast_ns, fast_bytes = fast_priced[sub]
+                    slow_ns, slow_bytes = slow_priced[sub]
+                    assert fast_bytes == slow_bytes == nbytes
+                    if shape:
+                        assert slow_ns > fast_ns
+                        compared += 1
     assert compared > 0
 
 
@@ -183,3 +190,66 @@ def test_plans_on_two_buses_move_the_same_bytes():
     assert fast.total_transferred_bytes == slow.total_transferred_bytes > 0
     assert sum(c.mem_ns_total for c in slow.cores) \
         > sum(c.mem_ns_total for c in fast.cores)
+
+
+def _count_hulls(monkeypatch):
+    calls = []
+    _log_calls(monkeypatch, RangeProgram, "hull", calls)
+    return calls
+
+
+def _remainder_solution(component, cores=2):
+    """A candidate whose every level that can have a remainder tile
+    has one, spread over *cores* cores."""
+    sizes, groups = {}, {}
+    for node in component.nodes:
+        sizes[node.var] = next(
+            (k for k in range(2, node.N) if node.N % k), node.N)
+        groups[node.var] = 1
+    parallel = next(node for node in component.nodes
+                    if node.parallel and -(-node.N // sizes[node.var]) > 1)
+    groups[parallel.var] = cores
+    return Solution(component, sizes, groups)
+
+
+@pytest.mark.parametrize("kernel,chain", [
+    ("lstm", ["s1_0", "p"]), ("cnn", ["n", "k", "p", "q", "c"]),
+    ("rnn", ["s1", "p"])])
+def test_plan_after_preflight_evaluates_no_hull(kernel, chain, monkeypatch):
+    tree = LoopTree.build(make_kernel(kernel, "SMALL"))
+    component = component_at(tree, chain)
+    solution = _remainder_solution(component)
+    assert any(level.remainder_width != level.K
+               for level in solution.levels)
+    planner = SegmentPlanner(component, Platform(spm_bytes=1 << 30),
+                             fit_component_model(component))
+    planner.preflight(solution)
+    calls = _count_hulls(monkeypatch)
+    plan = planner.plan(solution)
+    assert plan.total_transferred_bytes > 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("kernel,chain", [
+    ("lstm", ["s1_0", "p"]), ("cnn", ["n", "k", "p", "q", "c"]),
+    ("rnn", ["s1", "p"])])
+def test_dma_path_after_bounding_bytes_evaluates_no_hull(kernel, chain,
+                                                         monkeypatch):
+    """``refine`` reads the bounding bytes before the DMA path; the
+    relevant levels are a separate neighbour-tile probe, warmed here."""
+    tree = LoopTree.build(make_kernel(kernel, "SMALL"))
+    component = component_at(tree, chain)
+    solution = _remainder_solution(component)
+    sizes = [level.K for level in solution.levels]
+    groups = [level.R for level in solution.levels]
+    tile_sizes = solution.tile_sizes
+    calc = BoundCalculator(component, Platform(spm_bytes=1 << 30),
+                           fit_component_model(component))
+    geometry = component.geometry
+    for name in component.arrays():
+        geometry.bounding_bytes(name, tile_sizes)
+        geometry.relevant_levels(name, tile_sizes)
+    calls = _count_hulls(monkeypatch)
+    assert calc.dma_bytes_floor(sizes, groups, tile_sizes) > 0
+    assert calc._dma_path(sizes, groups, tile_sizes) > 0
+    assert calls == []

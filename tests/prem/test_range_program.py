@@ -5,8 +5,9 @@ integer arithmetic from accesses compiled once per component; the
 oracle (``tests/range_oracle.py``) re-derives each hull symbolically
 per tile box, guards narrowed with ``Fraction`` ceil/floor and bounds
 folded as ``AffineExpr`` pairs.  On every input the two must agree
-exactly — symbolic bounds, shapes, bounding boxes, relevant levels and
-raised exceptions — for the read, write and combined hulls.
+exactly — symbolic bounds, shapes, hull tables, bounding boxes,
+relevant levels and raised exceptions — for the read, write and
+combined hulls.
 
 Inputs: random tile-size vectors and tiles (remainder tiles included)
 for every component of every kernel at MINI and SMALL, which covers
@@ -97,20 +98,47 @@ def check_hulls(component, sizes, indices):
             assert got.shape == want.shape
 
 
+def check_hull_table(component, name, sizes):
+    """Every entry of the hull table is the oracle hull of the tile its
+    submask selects (the matching remainder widths, where every
+    selected level has a remainder), and the bounding box is the max
+    over the non-empty entries."""
+    table = component.geometry.hull_table(name, sizes)
+    key_vars = component.geometry.key_vars(name)
+    last = {node.var: -(-node.N // sizes[node.var]) - 1
+            for node in component.nodes}
+    assert table.mask == sum(
+        1 << j for j, node in enumerate(component.nodes)
+        if node.var in key_vars and node.N > sizes[node.var])
+    assert sorted(table.entries) == [
+        sub for sub in range(table.mask + 1) if sub & table.mask == sub]
+    for sub, entry in table.entries.items():
+        chosen = {node.var: last[node.var] if sub >> j & 1 else 0
+                  for j, node in enumerate(component.nodes)}
+        want = oracle.access_range(
+            component, name, tile_box(component, chosen, sizes))
+        assert entry == (((), 0) if want is None
+                         else (want.shape, want.bytes))
+        widths = {
+            node.var: node.N - last[node.var] * sizes[node.var]
+            if sub >> j & 1 else sizes[node.var]
+            for j, node in enumerate(component.nodes)}
+        if all(widths[node.var] != sizes[node.var]
+               for j, node in enumerate(component.nodes) if sub >> j & 1):
+            assert entry == oracle.range_shape(component, name, sizes, widths)
+    shapes = [shape for shape, nbytes in table.entries.values() if nbytes]
+    assert table.bounding == (
+        tuple(max(extents) for extents in zip(*shapes)) if shapes else None)
+
+
 def check_geometry(component, sizes, indices):
     geometry = component.geometry
-    widths = {
-        node.var: sizes[node.var]
-        if indices[node.var] < -(-node.N // sizes[node.var]) - 1
-        else node.N - indices[node.var] * sizes[node.var]
-        for node in component.nodes}
     for name in component.arrays():
         assert _outcome(lambda: geometry.bounding_shape(name, sizes)) == \
             _outcome(lambda: oracle.bounding_box(component, name, sizes))
         assert geometry.relevant_levels(name, sizes) == \
             oracle.relevant_levels(component, name, sizes)
-        assert geometry.range_shape(name, sizes, widths) == \
-            oracle.range_shape(component, name, sizes, widths)
+        check_hull_table(component, name, sizes)
         guarded = any(_stmt_guards(component, stmt)
                       for stmt, _ in component.accesses(name))
         if not guarded:

@@ -14,7 +14,7 @@ from repro.loopir.component import component_at
 from repro.poly.affine import AffineExpr, aff
 from repro.prem.ranges import (
     CanonicalRange,
-    canonical_range,
+    access_range,
     partial_bounds,
     ranges_overlap,
     tile_box,
@@ -60,7 +60,7 @@ class TestSection35Ranges:
 
     def range_at(self, comp, name, s1_t, p_t):
         box = tile_box(comp, {"s1_0": s1_t, "p": p_t}, SIZES)
-        return canonical_range(comp, name, box)
+        return access_range(comp, name, box)
 
     def test_u_ifog_seg01(self, lstm_large):
         crange = self.range_at(lstm_large, "U_i", 0, 0)
@@ -122,7 +122,7 @@ class TestCnnHalo:
         comp = component_at(tree, ["n", "k", "p", "q", "c"])
         sizes = {"n": 1, "k": 4, "p": 2, "q": 8, "c": 8}
         box = tile_box(comp, {v: 0 for v in sizes}, sizes)
-        crange = canonical_range(comp, "inp_F", box)
+        crange = access_range(comp, "inp_F", box)
         nr = tree.kernel.constants["NR"]
         # p in [0,1], subscript p + NR-1-r covers [0, 1 + NR - 1].
         assert crange.concrete()[2] == (0, 1 + nr - 1)
@@ -166,7 +166,7 @@ class TestGuardNarrowing:
         comp = component_at(tree, ["t"])
         nt = kernel.constants["NT"]
         box = tile_box(comp, {"t": 0}, {"t": nt})
-        crange = canonical_range(comp, "s_F", box)
+        crange = access_range(comp, "s_F", box)
         lo, hi = crange.concrete()[0]
         assert lo == 0
         assert hi == nt - 1
