@@ -479,6 +479,10 @@ class ComponentPlan:
         return sum(core.n_segments for core in self.cores)
 
 
+#: ``(mask, {submask: (transfer_ns, bytes)})``: a priced :class:`HullTable`.
+PricedTable = Tuple[int, Dict[int, Tuple[float, int]]]
+
+
 class PlanError(InfeasibleScheduleError, ValueError):
     """A solution that cannot be planned (infeasible or illegal)."""
 
@@ -498,7 +502,7 @@ class SegmentPlanner:
         self._by_sizes: Dict[Tuple[int, ...],
                              Tuple[Dict[str, ArrayPlan], int]] = {}
         #: (array, key sizes) -> :meth:`priced_table`'s table.
-        self._priced: Dict[Tuple, Tuple[int, Dict[int, Tuple[float, int]]]] = {}
+        self._priced: Dict[Tuple, PricedTable] = {}
         #: Tile-size vector -> remainder mask -> exec estimate, ns.
         self._exec: Dict[Tuple[int, ...], Dict[int, float]] = {}
 
@@ -686,8 +690,8 @@ class SegmentPlanner:
 
         return self._assign_slots(core, n, exec_base, events, plans)
 
-    def priced_table(self, name: str, tile_sizes: Mapping[str, int]
-                     ) -> Tuple[int, Dict[int, Tuple[float, int]]]:
+    def priced_table(self, name: str,
+                     tile_sizes: Mapping[str, int]) -> PricedTable:
         """``(mask, {submask: (transfer_ns, bytes)})``: the shared
         :meth:`TileGeometry.hull_table`, priced on this planner's
         platform once per (array, key sizes)."""
