@@ -32,7 +32,8 @@ class KernelConfigError(ReproError, KeyError):
 
 
 class TileConfigError(ReproError, ValueError):
-    """Malformed tile-width vector handed to a cost model."""
+    """Malformed tile-width vector handed to a cost model, or a component
+    with a zero-trip level, which has no tile widths at all."""
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,9 @@ class BatchEvaluator:
                     worst = nxt
                     end += 1
                 chunk = entries[pos:end]
+                # One call may carry a whole cohort; the budget holds
+                # between chunks, and chunks already scored stay recorded.
+                evaluator.check_deadline()
                 makespans, transferred = self._score_chunk(chunk)
                 for (key, solution, _plans, spm, _s, _c), ms, xfer in zip(
                         chunk, makespans, transferred):

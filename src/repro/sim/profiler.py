@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+from ..errors import TileConfigError
 from ..loopir.component import TilableComponent
 from ..timing.execmodel import ExecModel, fit_exec_model
 from .machine import MachineModel
@@ -71,7 +72,15 @@ def sample_widths(component: TilableComponent,
 def profile_component(component: TilableComponent,
                       machine: MachineModel | None = None
                       ) -> Tuple[List[Tuple[int, ...]], List[float]]:
-    """Measure tile execution cycles for a spread of width vectors."""
+    """Measure tile execution cycles for a spread of width vectors.
+
+    A level that runs zero iterations has no tile widths at all, so there
+    is nothing to measure: that raises :class:`TileConfigError`."""
+    for node in component.nodes:
+        if node.N == 0:
+            raise TileConfigError(
+                f"component {component.label()}: loop {node.var} runs zero "
+                f"iterations, so it has no tile widths to profile")
     machine = machine or MachineModel()
     widths = sample_widths(component)
     measured = [float(machine.tile_cost(component, w)) for w in widths]

@@ -20,7 +20,9 @@ from repro.errors import (
 )
 from repro.kernels import make_kernel, preset_sizes
 from repro.loopir import LoopTree
+from repro.loopir.builder import for_, kernel_, stmt_
 from repro.loopir.component import component_at
+from repro.poly.access import Array
 from repro.prem.runtime import SpmBufferView
 from repro.sim.machine import MachineModel
 from repro.timing.platform import Platform
@@ -90,6 +92,20 @@ class TestTypedErrors:
         view = SpmBufferView("W", spm, lo=(4,), shape=(4,))
         with pytest.raises(SpmAccessError, match="rank"):
             view[(1, 2)]
+
+    def test_zero_trip_component_is_typed(self):
+        """A component level that runs zero iterations has no tile widths
+        to profile: compile raises the typed error, not a bare one."""
+        a = Array("A", (4,))
+
+        def increment(views, pt):
+            views["A"][(pt["i"],)] += 1
+
+        s = stmt_("s", {"A": a}, writes={"A": ("i",)}, reads={"A": ("i",)},
+                  compute=increment)
+        kernel = kernel_("zero_trip", [a], [for_("t", 2, for_("i", 0, s))])
+        with pytest.raises(TileConfigError, match="loop i runs zero"):
+            PremCompiler().compile(kernel)
 
     def test_unknown_preset_is_typed(self):
         with pytest.raises(KernelConfigError):

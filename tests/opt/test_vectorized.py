@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import OptimizerTimeout
 from repro.kernels import make_kernel
 from repro.loopir import LoopTree
 from repro.loopir.component import component_at
@@ -34,7 +35,7 @@ from repro.opt.robust import RobustOptimizer
 from repro.opt.solution import Solution
 from repro.opt.threadgroups import generate_nondominated_thread_groups
 from repro.opt.vectorized import NARROW_CHUNK, BatchEvaluator
-from repro.schedule.makespan import MakespanEvaluator
+from repro.schedule.makespan import Deadline, MakespanEvaluator
 from repro.sim.profiler import fit_component_model
 from repro.timing.platform import Platform
 from tests.strategies import random_kernels
@@ -276,6 +277,44 @@ class TestFallbackRouting:
         assert batch.fallbacks > 0 and batch.scored > 0
         assert not all(batch.exactness_mask)
         assert any(batch.exactness_mask)
+
+
+class TestDeadlineBetweenChunks:
+    def test_expiry_mid_call_stops_before_next_chunk(self, rnn_small):
+        """One ``evaluate_batch`` call may carry a whole cohort: a budget
+        that runs out while its first chunk is scored must stop the call
+        before the second chunk, with the first chunk still recorded."""
+        comp, model = rnn_small
+        with eight_cpus():
+            solutions = _all_solutions(comp)
+        probe = BatchEvaluator(MakespanEvaluator(comp, Platform(), model))
+        # The widest candidate fills a chunk on its own: no fallbacks,
+        # several chunks.
+        max_cells = max(s.threads * (int(probe._batch_segments([s])[0]) + 2)
+                        for s in solutions)
+        unbounded = BatchEvaluator(
+            MakespanEvaluator(comp, Platform(), model), max_cells=max_cells)
+        unbounded.evaluate_batch(solutions)
+        assert unbounded.batches >= 2 and unbounded.fallbacks == 0
+
+        ev = MakespanEvaluator(comp, Platform(), model,
+                               deadline=Deadline("batch", 1.0, math.inf))
+        batch = BatchEvaluator(ev, max_cells=max_cells)
+        scored = []
+        score_chunk = batch._score_chunk
+
+        def expire_after_first(entries):
+            out = score_chunk(entries)
+            scored.append([entry[1] for entry in entries])
+            ev.deadline = Deadline("batch", 1.0, -math.inf)
+            return out
+
+        with mock.patch.object(batch, "_score_chunk", expire_after_first):
+            with pytest.raises(OptimizerTimeout):
+                batch.evaluate_batch(solutions)
+        assert len(scored) == 1
+        assert batch.batches == 1
+        assert all(ev.peek(solution) is not None for solution in scored[0])
 
 
 class TestQuickBoundArray:

@@ -9,8 +9,10 @@ import pytest
 from repro.compiler import PremCompiler
 from repro.kernels import make_kernel
 from repro.loopir import LoopTree
+from repro.loopir.builder import for_, kernel_, stmt_
 from repro.loopir.component import component_at
 from repro.opt.solution import Solution
+from repro.poly.access import Array
 from repro.prem.runtime import (
     PremRuntime,
     SequentialInterpreter,
@@ -131,6 +133,52 @@ class TestMultiComponentKernel:
         arrays = init_arrays(kernel, 3)
         run_kernel_prem(kernel, components, arrays)
         assert_memories_equal(expected, arrays)
+
+
+def _increment(views, pt):
+    views["A"][(pt["i"],)] += 1
+
+
+def _double(views, pt):
+    views["A"][(pt["i"],)] *= 2
+
+
+class TestZeroTripLoops:
+    """``LoopRange`` allows ``n == 0``: an empty loop is a no-op in the
+    sequential interpreter, the VM's body walk and ``run_kernel_prem``."""
+
+    def test_sequential_interpreter_skips_empty_loop(self):
+        a = Array("A", (4,))
+        s = stmt_("s", {"A": a}, writes={"A": ("i",)}, reads={"A": ("i",)},
+                  compute=_increment)
+        kernel = kernel_("zero_trip", [a], [for_("t", 2, for_("i", 0, s))])
+        arrays = init_arrays(kernel)
+        before = arrays["A"].copy()
+        SequentialInterpreter().run(kernel, arrays)
+        assert np.array_equal(arrays["A"], before)
+
+    def test_vm_and_kernel_walk_skip_empty_loops(self):
+        """An empty loop inside the component body (``j``) and one
+        outside every component (``u``)."""
+        a = Array("A", (4,))
+        inc = stmt_("inc", {"A": a}, writes={"A": ("i",)},
+                    reads={"A": ("i",)}, compute=_increment)
+        dbl = stmt_("dbl", {"A": a}, writes={"A": ("i",)},
+                    reads={"A": ("i",)}, compute=_double)
+        idle = stmt_("idle", {"A": a}, writes={"A": ("v",)},
+                     reads={"A": ("v",)}, compute=lambda views, pt: None)
+        kernel = kernel_("zero_trip_vm", [a], [
+            for_("t", 2, for_("i", 4, inc, for_("j", 0, dbl))),
+            for_("u", 0, for_("v", 4, idle)),
+        ])
+        comp = component_at(LoopTree.build(kernel), ["i"])
+        expected = init_arrays(kernel)
+        SequentialInterpreter().run(kernel, expected)
+        arrays = init_arrays(kernel)
+        run_kernel_prem(kernel, {"i": (comp, Solution(comp, {"i": 2}))},
+                        arrays)
+        assert np.array_equal(arrays["A"], expected["A"])
+        assert np.array_equal(arrays["A"], init_arrays(kernel)["A"] + 2)
 
 
 class TestCompilerIntegration:
